@@ -271,6 +271,22 @@ void BM_OrOptCached(benchmark::State& state) {
 }
 BENCHMARK(BM_OrOptCached)->Arg(50)->Arg(150)->Arg(350);
 
+void BM_ImproveTour(benchmark::State& state) {
+  // The K-minMax / Appro step-5 improvement as the planner runs it: 2-opt
+  // and Or-opt from a Christofides tour. Short local edges keep the scan
+  // blocks' bounding boxes tight, which the random-start benches above
+  // never show.
+  const auto p =
+      make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
+  p.ensure_distance_cache();
+  const auto base = tsp::christofides_tour(p);
+  for (auto _ : state) {
+    auto tour = base;
+    benchmark::DoNotOptimize(tsp::improve_tour(p, tour));
+  }
+}
+BENCHMARK(BM_ImproveTour)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
+
 void BM_DistanceCacheBuild(benchmark::State& state) {
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);

@@ -11,9 +11,12 @@ if [[ "${1:-}" == "--paper" ]]; then
   INSTANCES=100
 fi
 
-cmake -B build -G Ninja
-cmake --build build
-ctest --test-dir build --output-on-failure
+# Whatever generator CMake defaults to (Makefiles unless CMAKE_GENERATOR
+# says otherwise); an existing build tree keeps its own.
+JOBS="$(nproc 2>/dev/null || echo 2)"
+cmake -B build -S .
+cmake --build build -j "$JOBS"
+ctest --test-dir build --output-on-failure -j "$JOBS"
 
 OUT=reproduction
 mkdir -p "$OUT"
@@ -28,6 +31,8 @@ echo "== design ablation =="
 ./build/bench/ablation_design | tee "$OUT/ablation_design.txt"
 echo "== dispatch-policy ablation =="
 ./build/bench/ablation_policy | tee "$OUT/ablation_policy.txt"
+echo "== recovery-policy ablation under faults =="
+./build/bench/fault_ablation  | tee "$OUT/fault_ablation.txt"
 echo "== empirical approximation ratio =="
 ./build/bench/approx_ratio    | tee "$OUT/approx_ratio.txt"
 echo "== micro benches =="

@@ -36,51 +36,54 @@ sched::ChargingPlan NetwrapScheduler::plan(
       idle;
   for (std::uint32_t j = 0; j < k; ++j) idle.push({0.0, problem.depot(), j});
 
-  std::vector<char> assigned(n, 0);
-  std::size_t remaining = n;
-  while (remaining > 0) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Deadlines are fixed for the whole plan; unassigned sensors are kept in
+  // ascending index order so the lowest-index tie rule below is unchanged.
+  std::vector<double> life(n);
+  std::vector<std::uint32_t> left(n);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    life[v] = problem.residual_lifetime(v);
+    left[v] = v;
+  }
+  std::vector<double> travel(n);  // distance from the MCV, per slot of left
+  while (!left.empty()) {
     McvState mcv = idle.top();
     idle.pop();
 
     // Normalization constants over the remaining candidates.
     double max_travel = 0.0;
     double max_life = 0.0;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (assigned[v]) continue;
-      max_travel = std::max(
-          max_travel, geom::distance(mcv.at, problem.position(v)));
-      const double life = problem.residual_lifetime(v);
-      if (life != std::numeric_limits<double>::infinity()) {
-        max_life = std::max(max_life, life);
-      }
+    for (std::size_t s = 0; s < left.size(); ++s) {
+      const std::uint32_t v = left[s];
+      travel[s] = geom::distance(mcv.at, problem.position(v));
+      max_travel = std::max(max_travel, travel[s]);
+      if (life[v] != kInf) max_life = std::max(max_life, life[v]);
     }
 
-    double best_score = std::numeric_limits<double>::infinity();
-    std::uint32_t best = 0;
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (assigned[v]) continue;
-      const double travel = geom::distance(mcv.at, problem.position(v));
-      const double life = problem.residual_lifetime(v);
-      const double norm_travel = max_travel > 0.0 ? travel / max_travel : 0.0;
+    double best_score = kInf;
+    std::size_t best_slot = 0;
+    for (std::size_t s = 0; s < left.size(); ++s) {
+      const double norm_travel =
+          max_travel > 0.0 ? travel[s] / max_travel : 0.0;
+      const double v_life = life[left[s]];
       double norm_life = 0.0;
-      if (max_life > 0.0 && life != std::numeric_limits<double>::infinity()) {
-        norm_life = life / max_life;
-      } else if (life == std::numeric_limits<double>::infinity()) {
+      if (max_life > 0.0 && v_life != kInf) {
+        norm_life = v_life / max_life;
+      } else if (v_life == kInf) {
         norm_life = 1.0;
       }
       const double score =
           travel_weight_ * norm_travel + (1.0 - travel_weight_) * norm_life;
       if (score < best_score) {
         best_score = score;
-        best = v;
+        best_slot = s;
       }
     }
 
-    assigned[best] = 1;
-    --remaining;
+    const std::uint32_t best = left[best_slot];
+    const double travel_time = travel[best_slot] / problem.speed();
+    left.erase(left.begin() + static_cast<std::ptrdiff_t>(best_slot));
     plan.tours[mcv.id].push_back(best);
-    const double travel_time =
-        geom::distance(mcv.at, problem.position(best)) / problem.speed();
     mcv.time += travel_time + problem.charge_seconds(best);
     mcv.at = problem.position(best);
     idle.push(mcv);

@@ -5,6 +5,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "obs/obs.h"
+#include "tsp/tour_mirror.h"
 #include "util/assert.h"
 #include "util/simd.h"
 
@@ -12,25 +14,32 @@ namespace mcharge::tsp {
 
 namespace {
 
-// Distance helpers treating position -1 and position m as the depot.
-double leg(const TourProblem& p, const Tour& t, std::ptrdiff_t i,
-           std::ptrdiff_t j) {
-  const bool i_depot = i < 0 || i >= static_cast<std::ptrdiff_t>(t.size());
-  const bool j_depot = j < 0 || j >= static_cast<std::ptrdiff_t>(t.size());
-  if (i_depot && j_depot) return 0.0;
-  if (i_depot) return p.travel_depot(t[static_cast<std::size_t>(j)]);
-  if (j_depot) return p.travel_depot(t[static_cast<std::size_t>(i)]);
-  return p.travel(t[static_cast<std::size_t>(i)], t[static_cast<std::size_t>(j)]);
+// Lower bound on the kernels' distance from (qx, qy) to any point of the
+// box, computed with their own operation sequence. Per axis, the gap
+// fl(lo - q) (or fl(q - hi)) is at most |fl(p - q)| for every p in
+// [lo, hi] because round-to-nearest is monotone; squaring, adding and
+// sqrt are monotone on non-negative inputs, so the result never exceeds
+// the kernel's sqrt(dx * dx + dy * dy) for a point inside the box.
+inline double box_distance(double qx, double qy, double lox, double hix,
+                           double loy, double hiy) {
+  const double gx = std::max(0.0, std::max(lox - qx, qx - hix));
+  const double gy = std::max(0.0, std::max(loy - qy, qy - hiy));
+  return std::sqrt(gx * gx + gy * gy);
 }
 
-// Position-ordered SoA mirror of the tour (px[p], py[p] = coordinates of
-// tour[p]) with the depot appended as a sentinel at index m so the gain
-// kernels may read P[j + 1] for j == m - 1. Recomputing a distance from
-// these coordinates yields exactly the bits a cache read (or geom::distance)
-// would — the precondition for routing the scans through util/simd.h.
-void mirror_tour(const TourProblem& problem, const Tour& tour,
-                 std::vector<double>& px, std::vector<double>& py) {
+}  // namespace
+
+namespace detail {
+
+// Recomputing a distance from the mirrored coordinates yields exactly the
+// bits a cache read (or geom::distance) would — the precondition for
+// routing the scans through util/simd.h, and why travel() can price every
+// leg the operators need without touching the O(m^2) distance cache.
+// tc[k] hoists the (k, k+1) leg out of the scans, removing a sqrt and a
+// divide per scanned element; every compared value keeps identical bits.
+void TourMirror::assign(const TourProblem& problem, const Tour& tour) {
   const std::size_t m = tour.size();
+  speed = problem.speed;
   px.resize(m + 1);
   py.resize(m + 1);
   for (std::size_t p = 0; p < m; ++p) {
@@ -39,27 +48,131 @@ void mirror_tour(const TourProblem& problem, const Tour& tour,
   }
   px[m] = problem.depot.x;
   py[m] = problem.depot.y;
+  tc.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const auto kp = static_cast<std::ptrdiff_t>(k);
+    tc[k] = travel(kp, kp + 1);
+  }
+  const std::size_t blocks = (m + kBlock - 1) / kBlock;
+  lox_.resize(blocks);
+  hix_.resize(blocks);
+  loy_.resize(blocks);
+  hiy_.resize(blocks);
+  tmax_.resize(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) summarize(b);
 }
 
-// Travel time of the (k, k+1) leg from the mirrored coordinates — the
-// exact bits the scan kernels previously recomputed per element.
-double leg_time(const std::vector<double>& px, const std::vector<double>& py,
-                double speed, std::size_t k) {
-  const double dx = px[k] - px[k + 1];
-  const double dy = py[k] - py[k + 1];
+void TourMirror::summarize(std::size_t b) {
+  const std::size_t k0 = b * kBlock;
+  const std::size_t k1 = std::min(k0 + kBlock, tc.size());
+  double lx = px[k0], hx = px[k0], ly = py[k0], hy = py[k0];
+  for (std::size_t p = k0 + 1; p <= k1; ++p) {  // P[k1] is read as P[k + 1]
+    lx = std::min(lx, px[p]);
+    hx = std::max(hx, px[p]);
+    ly = std::min(ly, py[p]);
+    hy = std::max(hy, py[p]);
+  }
+  double t = tc[k0];
+  for (std::size_t k = k0 + 1; k < k1; ++k) t = std::max(t, tc[k]);
+  lox_[b] = lx;
+  hix_[b] = hx;
+  loy_[b] = ly;
+  hiy_[b] = hy;
+  tmax_[b] = t;
+}
+
+double TourMirror::travel(std::ptrdiff_t a, std::ptrdiff_t b) const {
+  const auto m = static_cast<std::ptrdiff_t>(tc.size());
+  const auto pa = static_cast<std::size_t>(a < 0 || a > m ? m : a);
+  const auto pb = static_cast<std::size_t>(b < 0 || b > m ? m : b);
+  // A pair the distance cache stores in the other order differs here only
+  // in the sign of dx and dy, which the squares erase exactly.
+  const double dx = px[pa] - px[pb];
+  const double dy = py[pa] - py[pb];
   return std::sqrt(dx * dx + dy * dy) / speed;
 }
 
-// tc[k] = travel time of leg (P[k], P[k+1]) for k in [0, m); the last
-// entry is the (P[m-1], depot) leg via the sentinel. Hoisting these out
-// of the 2-opt / Or-opt scans removes a sqrt and a divide per scanned
-// element; every compared value keeps identical bits.
-void fill_leg_times(const std::vector<double>& px,
-                    const std::vector<double>& py, double speed,
-                    std::vector<double>& tc) {
-  const std::size_t m = px.size() - 1;
-  tc.resize(m);
-  for (std::size_t k = 0; k < m; ++k) tc[k] = leg_time(px, py, speed, k);
+void TourMirror::reverse(std::size_t i, std::size_t j) {
+  const auto ip = static_cast<std::ptrdiff_t>(i);
+  const auto jp = static_cast<std::ptrdiff_t>(j);
+  std::reverse(px.begin() + ip, px.begin() + jp + 1);
+  std::reverse(py.begin() + ip, py.begin() + jp + 1);
+  // Internal legs keep their lengths with reversed orientation (the
+  // squares make direction exact); only the boundary legs change.
+  std::reverse(tc.begin() + ip, tc.begin() + jp);
+  tc[j] = travel(jp, jp + 1);
+  if (i > 0) tc[i - 1] = travel(ip - 1, ip);
+  // Scan indices i-1 .. j read a moved point or a changed leg.
+  for (std::size_t b = (i > 0 ? i - 1 : 0) / kBlock; b <= j / kBlock; ++b) {
+    summarize(b);
+  }
+}
+
+// Runs `kernel` over [begin, end) block by block, skipping the blocks
+// `clean` proves hit-free, and returns the first hit or kNpos.
+template <typename Clean, typename Kernel>
+std::size_t TourMirror::scan_blocks(std::size_t begin, std::size_t end,
+                                    const Clean& clean, const Kernel& kernel) {
+  for (std::size_t k = begin; k < end;) {
+    const std::size_t b = k / kBlock;
+    const std::size_t stop = std::min(end, (b + 1) * kBlock);
+    ++blocks_scanned;
+    if (clean(b)) {
+      ++blocks_pruned;
+    } else {
+      const std::size_t hit = kernel(k, stop);
+      if (hit != simd::kNpos) return hit;
+    }
+    k = stop;
+  }
+  return simd::kNpos;
+}
+
+// Both scans walk block by block. For k in block b the kernel compares
+// sums of two distances to points inside the block's box, divided by
+// speed, against a value that is monotone in tc[k] <= tmax: the block
+// bound is the same expression with box distances and tmax, so when it
+// already fails the comparison every k in the block fails it too, and the
+// first improving index (or kNpos) is exactly the plain kernel's.
+std::size_t TourMirror::two_opt_scan(std::size_t j_begin, std::size_t j_end,
+                                     double ax, double ay, double bx,
+                                     double by, double base,
+                                     double min_gain) {
+  const auto clean = [&](std::size_t b) {
+    const double la = box_distance(ax, ay, lox_[b], hix_[b], loy_[b], hiy_[b]);
+    const double lb = box_distance(bx, by, lox_[b], hix_[b], loy_[b], hiy_[b]);
+    return la / speed + lb / speed >= (base + tmax_[b]) - min_gain;
+  };
+  return scan_blocks(j_begin, j_end, clean, [&](std::size_t a, std::size_t b) {
+    return simd::two_opt_scan(px.data(), py.data(), tc.data(), a, b, ax, ay,
+                              bx, by, speed, base, min_gain);
+  });
+}
+
+std::size_t TourMirror::or_opt_scan(std::size_t k_begin, std::size_t k_end,
+                                    double ix, double iy, double ex,
+                                    double ey, double threshold) {
+  const auto clean = [&](std::size_t b) {
+    const double la = box_distance(ix, iy, lox_[b], hix_[b], loy_[b], hiy_[b]);
+    const double lb = box_distance(ex, ey, lox_[b], hix_[b], loy_[b], hiy_[b]);
+    return la / speed + lb / speed - tmax_[b] >= threshold;
+  };
+  return scan_blocks(k_begin, k_end, clean, [&](std::size_t a, std::size_t b) {
+    return simd::or_opt_scan(px.data(), py.data(), tc.data(), a, b, ix, iy,
+                             ex, ey, speed, threshold);
+  });
+}
+
+}  // namespace detail
+
+namespace {
+
+// Reports an operator call's block counts once, not once per block.
+void flush_scan_counts([[maybe_unused]] const detail::TourMirror& mirror) {
+  OBS_COUNT("tsp.scan_blocks",
+            static_cast<std::int64_t>(mirror.blocks_scanned));
+  OBS_COUNT("tsp.scan_blocks_pruned",
+            static_cast<std::int64_t>(mirror.blocks_pruned));
 }
 
 // Shared implementations with an optional convergence report. `converged`
@@ -74,9 +187,10 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
   if (converged) *converged = true;
   const std::size_t m = tour.size();
   if (m < 2) return 0.0;
-  std::vector<double> px, py, tc;
-  mirror_tour(problem, tour, px, py);
-  fill_leg_times(px, py, problem.speed, tc);
+  detail::TourMirror mirror;
+  mirror.assign(problem, tour);
+  const std::vector<double>& px = mirror.px;
+  const std::vector<double>& py = mirror.py;
 
   // Exact-replay cache over left edges: clean[i] == 1 records that edge
   // i's whole j scan completed with zero hits against the current tour.
@@ -100,8 +214,9 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
     // For each left edge the j loop is a first-improvement scan with a
     // fixed (ax, ay), (bx, by) and base leg — exactly the shape of
     // simd::two_opt_scan, which returns the first improving j (or kNpos)
-    // with the scalar comparison sequence. After a reversal the scan
-    // resumes at j + 1 on the updated tour, as the scalar loop did.
+    // with the scalar comparison sequence; the mirror's block-pruned scan
+    // returns the same j. After a reversal the scan resumes at j + 1 on
+    // the updated tour, as the scalar loop did.
     for (std::size_t i = 0; i + 1 < m; ++i) {
       if (clean[i]) continue;
       const auto ip = static_cast<std::ptrdiff_t>(i);
@@ -109,30 +224,23 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
       const double ay = i == 0 ? problem.depot.y : py[i - 1];
       double bx = px[i];
       double by = py[i];
-      double base = leg(problem, tour, ip - 1, ip);
+      double base = mirror.travel(ip - 1, ip);
       // i == 0 with j == m - 1 is the full reversal (no change): the
       // scalar loop skipped it, so the scan simply ends one j earlier.
       const std::size_t j_end = i == 0 ? m - 1 : m;
       std::size_t j = i + 1;
       bool any_hit = false;
       while (j < j_end) {
-        const std::size_t hit = simd::two_opt_scan(
-            px.data(), py.data(), tc.data(), j, j_end, ax, ay, bx, by,
-            problem.speed, base, options.min_gain);
+        const std::size_t hit = mirror.two_opt_scan(
+            j, j_end, ax, ay, bx, by, base, options.min_gain);
         if (hit == simd::kNpos) break;
         const auto jp = static_cast<std::ptrdiff_t>(hit);
         const double before =
-            leg(problem, tour, ip - 1, ip) + leg(problem, tour, jp, jp + 1);
+            mirror.travel(ip - 1, ip) + mirror.travel(jp, jp + 1);
         const double after =
-            leg(problem, tour, ip - 1, jp) + leg(problem, tour, ip, jp + 1);
+            mirror.travel(ip - 1, jp) + mirror.travel(ip, jp + 1);
         std::reverse(tour.begin() + ip, tour.begin() + jp + 1);
-        std::reverse(px.begin() + ip, px.begin() + jp + 1);
-        std::reverse(py.begin() + ip, py.begin() + jp + 1);
-        // Internal legs keep their lengths with reversed orientation (the
-        // squares make direction exact); only the boundary legs change.
-        std::reverse(tc.begin() + ip, tc.begin() + jp);
-        tc[hit] = leg_time(px, py, problem.speed, hit);
-        if (i > 0) tc[i - 1] = leg_time(px, py, problem.speed, i - 1);
+        mirror.reverse(i, hit);
         saved += before - after;
         improved = true;
         any_hit = true;
@@ -145,13 +253,14 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
         // Position i now holds a different point; position i-1 did not move.
         bx = px[i];
         by = py[i];
-        base = leg(problem, tour, ip - 1, ip);
+        base = mirror.travel(ip - 1, ip);
         j = hit + 1;
       }
       if (!any_hit) clean[i] = 1;
     }
     if (!improved) break;
   }
+  flush_scan_counts(mirror);
   if (converged) *converged = !improved;
   return saved;
 }
@@ -189,9 +298,11 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
   if (converged) *converged = true;
   const auto m = static_cast<std::ptrdiff_t>(tour.size());
   if (m < 3) return 0.0;
-  std::vector<double> px, py, tc;
-  mirror_tour(problem, tour, px, py);
-  fill_leg_times(px, py, problem.speed, tc);
+  detail::TourMirror mirror;
+  mirror.assign(problem, tour);
+  const std::vector<double>& px = mirror.px;
+  const std::vector<double>& py = mirror.py;
+  const std::vector<double>& tc = mirror.tc;
 
   enum : unsigned char { kUnknown = 0, kRemovalFail = 1, kScanClean = 2 };
   const auto mu = static_cast<std::size_t>(m);
@@ -222,9 +333,8 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
       }
       return false;
     }
-    return simd::or_opt_scan(px.data(), py.data(), tc.data(), a, b, ix, iy,
-                             ex, ey, problem.speed,
-                             threshold) != simd::kNpos;
+    return mirror.or_opt_scan(a, b, ix, iy, ex, ey, threshold) !=
+           simd::kNpos;
   };
 
   // Repairs recorded facts after a move changed positions [lo, hi).
@@ -250,9 +360,9 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
         const double ey = py[static_cast<std::size_t>(i + len - 1)];
         bool improving = false;
         if (lo == 0 && i > 0) {  // depot slot reads position 0
-          const double depot_cost = leg(problem, tour, -1, i) +
-                                    leg(problem, tour, i + len - 1, 0) -
-                                    leg(problem, tour, -1, 0);
+          const double depot_cost = mirror.travel(-1, i) +
+                                    mirror.travel(i + len - 1, 0) -
+                                    mirror.travel(-1, 0);
           if (depot_cost < threshold) improving = true;
         }
         if (!improving && i >= 2) {
@@ -284,9 +394,9 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
         if (fact[slot(len, i)] != kUnknown) continue;
         // Segment [i, i+len); try inserting after position k (k outside the
         // segment), i.e. between k and k+1.
-        const double removal_gain = leg(problem, tour, i - 1, i) +
-                                    leg(problem, tour, i + len - 1, i + len) -
-                                    leg(problem, tour, i - 1, i + len);
+        const double removal_gain = mirror.travel(i - 1, i) +
+                                    mirror.travel(i + len - 1, i + len) -
+                                    mirror.travel(i - 1, i + len);
         if (removal_gain <= options.min_gain) {
           fact[slot(len, i)] = kRemovalFail;
           continue;
@@ -302,23 +412,20 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
         // kernel scans [0, i-1) and [i+len, m).
         std::ptrdiff_t k = -2;  // -2: no improving position found
         if (i > 0) {
-          const double depot_cost = leg(problem, tour, -1, i) +
-                                    leg(problem, tour, i + len - 1, 0) -
-                                    leg(problem, tour, -1, 0);
+          const double depot_cost = mirror.travel(-1, i) +
+                                    mirror.travel(i + len - 1, 0) -
+                                    mirror.travel(-1, 0);
           if (depot_cost < threshold) k = -1;
         }
         if (k == -2 && i >= 2) {
-          const std::size_t hit = simd::or_opt_scan(
-              px.data(), py.data(), tc.data(), 0,
-              static_cast<std::size_t>(i - 1), ix, iy, ex, ey, problem.speed,
-              threshold);
+          const std::size_t hit = mirror.or_opt_scan(
+              0, static_cast<std::size_t>(i - 1), ix, iy, ex, ey, threshold);
           if (hit != simd::kNpos) k = static_cast<std::ptrdiff_t>(hit);
         }
         if (k == -2) {
-          const std::size_t hit = simd::or_opt_scan(
-              px.data(), py.data(), tc.data(),
+          const std::size_t hit = mirror.or_opt_scan(
               static_cast<std::size_t>(i + len), static_cast<std::size_t>(m),
-              ix, iy, ex, ey, problem.speed, threshold);
+              ix, iy, ex, ey, threshold);
           if (hit != simd::kNpos) k = static_cast<std::ptrdiff_t>(hit);
         }
         if (k == -2) {
@@ -326,9 +433,9 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
           thr[slot(len, i)] = threshold;
           continue;
         }
-        const double insert_cost = leg(problem, tour, k, i) +
-                                   leg(problem, tour, i + len - 1, k + 1) -
-                                   leg(problem, tour, k, k + 1);
+        const double insert_cost = mirror.travel(k, i) +
+                                   mirror.travel(i + len - 1, k + 1) -
+                                   mirror.travel(k, k + 1);
         // Perform the move on a copy of the segment.
         Tour segment(tour.begin() + i, tour.begin() + i + len);
         tour.erase(tour.begin() + i, tour.begin() + i + len);
@@ -339,13 +446,13 @@ double or_opt_impl(const TourProblem& problem, Tour& tour,
         applied = true;  // positions shifted; restart the walk
         // Re-mirror (pure function of the tour — identical bits to the
         // per-pass rebuild of the restart loop), then repair the facts.
-        mirror_tour(problem, tour, px, py);
-        fill_leg_times(px, py, problem.speed, tc);
+        mirror.assign(problem, tour);
         refresh_facts(k < i ? k + 1 : i, k < i ? i + len : k + 1);
       }
       if (applied) break;
     }
   }
+  flush_scan_counts(mirror);
   if (converged) *converged = !applied;
   return saved;
 }

@@ -9,10 +9,11 @@
 //
 // The claim under test is BITWISE identity, the repo-wide determinism
 // contract: the incremental insertion, the exact-replay local-search
-// caches, and every jobs / SIMD-backend setting must reproduce the
-// reference plans and tours bit for bit — same tours, same stats, same
-// gains — across problem sizes, insertion rules and seeds. memcmp on a
-// flat serialization keeps the comparison honest (no epsilon anywhere).
+// caches, the block-pruned scans (tsp/tour_mirror.h), and every jobs /
+// SIMD-backend setting must reproduce the reference plans and tours bit
+// for bit — same tours, same stats, same gains — across problem sizes,
+// insertion rules and seeds. memcmp on a flat serialization keeps the
+// comparison honest (no epsilon anywhere).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,7 +25,10 @@
 
 #include "core/appro.h"
 #include "model/charging_problem.h"
+#include "obs/obs.h"
+#include "tsp/construct.h"
 #include "tsp/improve.h"
+#include "tsp/tour_mirror.h"
 #include "tsp/tour_problem.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -408,6 +412,339 @@ TEST(ImproveCache, ImproveTourOperatorSubsetsMatchReference) {
         EXPECT_EQ(expected, actual)
             << "m=" << m << " two=" << use_two << " or=" << use_or;
         EXPECT_EQ(ref_gain, gain);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Christofides-built corpora. Random-order starts have long edges, so the
+// scan blocks' bounding boxes span the field and block pruning rarely
+// fires; the planner improves Christofides tours, whose local edges keep
+// the boxes tight. These corpora make the pruned scans skip blocks under
+// the geometries where an inexact bound would show: clusters, degenerate
+// boxes (collinear and duplicate points), the depot inside the field, a
+// non-unit speed, and coordinates near 1e6 where every subtraction rounds.
+
+enum class Geometry {
+  kClustered,
+  kCollinear,
+  kDuplicates,
+  kDepotInside,
+  kSpeed,
+  kFarCoordinates,
+};
+
+const std::vector<Geometry> kGeometries = {
+    Geometry::kClustered,   Geometry::kCollinear, Geometry::kDuplicates,
+    Geometry::kDepotInside, Geometry::kSpeed,     Geometry::kFarCoordinates};
+
+tsp::TourProblem corpus_problem(Geometry g, std::size_t m, std::uint64_t seed) {
+  Rng rng(seed);
+  tsp::TourProblem problem;
+  problem.depot = {-20.0, -20.0};  // outside the field unless noted
+  for (std::size_t i = 0; i < m; ++i) {
+    double x = rng.uniform(0.0, 1000.0);
+    double y = rng.uniform(0.0, 1000.0);
+    switch (g) {
+      case Geometry::kClustered: {
+        const double c = static_cast<double>(i % 12);
+        x = 80.0 * c + rng.uniform(0.0, 15.0);
+        y = 500.0 + 300.0 * std::sin(c) + rng.uniform(0.0, 15.0);
+        break;
+      }
+      case Geometry::kCollinear:
+        y = 0.5 * x + 3.0;
+        break;
+      case Geometry::kDuplicates:
+        if (i % 4 != 0) {  // every point appears four times
+          x = problem.sites[i - i % 4].x;
+          y = problem.sites[i - i % 4].y;
+        }
+        break;
+      case Geometry::kDepotInside:
+        problem.depot = {500.0, 500.0};
+        break;
+      case Geometry::kSpeed:
+        problem.speed = 2.7;
+        break;
+      case Geometry::kFarCoordinates:
+        x = 1e6 + 0.1 * x;
+        y = 1e6 - 0.1 * y;
+        problem.depot = {1e6 - 3.0, 1e6 + 3.0};
+        break;
+    }
+    problem.sites.push_back({x, y});
+    problem.service.push_back(rng.uniform(100.0, 4000.0));
+  }
+  problem.ensure_distance_cache();
+  return problem;
+}
+
+struct ScanCounts {
+  std::int64_t blocks = 0;
+  std::int64_t pruned = 0;
+};
+
+/// Runs `fn` with tracing on and returns the scan-block counters it
+/// added (zeros when the build compiles tracing out).
+template <typename Fn>
+ScanCounts traced_scan_counts(const Fn& fn) {
+  obs::reset();
+  {
+    const obs::EnabledScope scope(true);
+    fn();
+  }
+  ScanCounts counts;
+  for (const obs::MetricSnapshot& metric : obs::capture().metrics) {
+    if (metric.name == "tsp.scan_blocks") counts.blocks = metric.value;
+    if (metric.name == "tsp.scan_blocks_pruned") counts.pruned = metric.value;
+  }
+  return counts;
+}
+
+// Every corpus against the frozen restart loops: each operator alone at
+// m = 500, and the full alternation (which runs both) at both sizes. The
+// reference result does not depend on the backend (the kernels are
+// bit-identical), so it is computed once per corpus and every backend's
+// pruned run must reproduce it.
+void expect_corpora_match_reference(std::size_t m, bool each_operator) {
+  for (Geometry g : kGeometries) {
+    const tsp::TourProblem problem =
+        corpus_problem(g, m, 6000 + m + static_cast<std::uint64_t>(g));
+    const tsp::Tour start = tsp::christofides_tour(problem);
+    tsp::Tour want_two = start, want_or = start, want_all = start;
+    double two_gain = 0.0, or_gain = 0.0;
+    if (each_operator) {
+      two_gain = reference::two_opt(problem, want_two, {});
+      or_gain = reference::or_opt(problem, want_or, {});
+    }
+    const double all_gain = reference::improve_tour(problem, want_all, {});
+    // A Christofides tour of collinear points is already optimal.
+    if (g != Geometry::kCollinear) {
+      EXPECT_GT(all_gain, 0.0) << "m=" << m
+                               << " geometry=" << static_cast<int>(g);
+    }
+    for (simd::Backend b : supported_backends()) {
+      BackendGuard guard(b);
+      const auto where = [&] {
+        return ::testing::Message() << "m=" << m << " geometry="
+                                    << static_cast<int>(g)
+                                    << " backend=" << static_cast<int>(b);
+      };
+      tsp::Tour tour = start;
+      if (each_operator) {
+        EXPECT_EQ(two_gain, tsp::two_opt(problem, tour, {})) << where();
+        EXPECT_EQ(want_two, tour) << where();
+        tour = start;
+        EXPECT_EQ(or_gain, tsp::or_opt(problem, tour, {})) << where();
+        EXPECT_EQ(want_or, tour) << where();
+        tour = start;
+      }
+      [[maybe_unused]] const ScanCounts counts = traced_scan_counts([&] {
+        EXPECT_EQ(all_gain, tsp::improve_tour(problem, tour, {})) << where();
+      });
+      EXPECT_EQ(want_all, tour) << where();
+#ifndef MCHARGE_NO_OBS
+      // Not vacuous: the bounds did skip blocks on this corpus.
+      EXPECT_GT(counts.pruned, 0) << where();
+      EXPECT_LT(counts.pruned, counts.blocks) << where();
+#endif
+    }
+  }
+}
+
+TEST(ImproveCache, ChristofidesCorpora500MatchReference) {
+  expect_corpora_match_reference(500, true);
+}
+
+TEST(ImproveCache, ChristofidesCorpora2000MatchReference) {
+  expect_corpora_match_reference(2000, false);
+}
+
+// The pruned scans against the plain kernels on every (begin, end) window
+// of a Christofides tour, for queries shaped like the operators' own: the
+// 2-opt left edge (i-1, i) with its base leg, and the Or-opt segment
+// [i, i+len) with its removal threshold. Windows start and end at every
+// offset inside a block, so partial first and last blocks are covered, and
+// the last window reads the depot sentinel at m.
+TEST(ImproveCache, PrunedScansMatchKernelsOnEveryWindow) {
+  for (Geometry g : {Geometry::kClustered, Geometry::kDuplicates,
+                     Geometry::kFarCoordinates}) {
+    const tsp::TourProblem problem =
+        corpus_problem(g, 150, 7000 + static_cast<std::uint64_t>(g));
+    const tsp::Tour tour = tsp::christofides_tour(problem);
+    tsp::detail::TourMirror mirror;
+    mirror.assign(problem, tour);
+    const std::size_t m = tour.size();
+    const double* px = mirror.px.data();
+    const double* py = mirror.py.data();
+    const double* tc = mirror.tc.data();
+    const double min_gain = tsp::ImproveOptions{}.min_gain;
+    std::size_t hits = 0;
+    for (simd::Backend b : supported_backends()) {
+      BackendGuard guard(b);
+      for (std::size_t i = 1; i + 3 < m; i += 13) {
+        const auto ip = static_cast<std::ptrdiff_t>(i);
+        const double base = mirror.travel(ip - 1, ip);
+        const std::size_t len = 1 + i % 3;
+        const auto lp = static_cast<std::ptrdiff_t>(len);
+        // Loosened by a few legs so that some windows do hit.
+        const double threshold = mirror.travel(ip - 1, ip) +
+                                 mirror.travel(ip + lp - 1, ip + lp) -
+                                 mirror.travel(ip - 1, ip + lp) + tc[i];
+        for (std::size_t begin = 0; begin < m; ++begin) {
+          for (std::size_t end = begin + 1; end <= m; ++end) {
+            const std::size_t want_two = simd::two_opt_scan(
+                px, py, tc, begin, end, px[i - 1], py[i - 1], px[i], py[i],
+                mirror.speed, base, min_gain);
+            ASSERT_EQ(want_two,
+                      mirror.two_opt_scan(begin, end, px[i - 1], py[i - 1],
+                                          px[i], py[i], base, min_gain))
+                << "2-opt i=" << i << " [" << begin << ", " << end << ")";
+            const std::size_t want_or =
+                simd::or_opt_scan(px, py, tc, begin, end, px[i], py[i],
+                                  px[i + len - 1], py[i + len - 1],
+                                  mirror.speed, threshold);
+            ASSERT_EQ(want_or,
+                      mirror.or_opt_scan(begin, end, px[i], py[i],
+                                         px[i + len - 1], py[i + len - 1],
+                                         threshold))
+                << "or-opt i=" << i << " [" << begin << ", " << end << ")";
+            hits += (want_two != simd::kNpos) + (want_or != simd::kNpos);
+          }
+        }
+      }
+    }
+    EXPECT_GT(hits, 0u) << "geometry=" << static_cast<int>(g);
+    EXPECT_GT(mirror.blocks_pruned, 0u) << "geometry=" << static_cast<int>(g);
+    EXPECT_LT(mirror.blocks_pruned, mirror.blocks_scanned);
+  }
+}
+
+// A 2-opt reversal must leave the block summaries as a fresh assign()
+// builds them: the pruned scans then agree with a rebuilt mirror.
+TEST(ImproveCache, ReversalKeepsBlockSummariesCurrent) {
+  const tsp::TourProblem problem =
+      corpus_problem(Geometry::kSpeed, 300, 7100);
+  tsp::Tour tour = tsp::christofides_tour(problem);
+  tsp::detail::TourMirror mirror;
+  mirror.assign(problem, tour);
+  Rng rng(7101);
+  const std::size_t m = tour.size();
+  constexpr std::size_t kB = tsp::detail::TourMirror::kBlock;
+  for (int step = 0; step < 300; ++step) {
+    std::size_t i = static_cast<std::size_t>(rng.below(m));
+    std::size_t j = static_cast<std::size_t>(rng.below(m));
+    if (i > j) std::swap(i, j);
+    // Every other reversal starts on a block boundary, where leg i-1 and
+    // the moved point i belong to the block on the left.
+    if (step % 2 == 0) i -= i % kB;
+    std::reverse(tour.begin() + static_cast<std::ptrdiff_t>(i),
+                 tour.begin() + static_cast<std::ptrdiff_t>(j) + 1);
+    mirror.reverse(i, j);
+    tsp::detail::TourMirror fresh;
+    fresh.assign(problem, tour);
+    ASSERT_EQ(fresh.px, mirror.px);
+    ASSERT_EQ(fresh.py, mirror.py);
+    ASSERT_EQ(fresh.tc, mirror.tc);
+    // Identical summaries make identical prune decisions: compare the
+    // pruned-block counts as well as the hits, over Or-opt-shaped queries.
+    for (std::size_t q = 1; q + 1 < m; q += 3) {
+      const auto qp = static_cast<std::ptrdiff_t>(q);
+      const double threshold = mirror.travel(qp - 1, qp) +
+                               mirror.travel(qp, qp + 1) -
+                               mirror.travel(qp - 1, qp + 1);
+      const std::uint64_t fresh_before = fresh.blocks_pruned;
+      const std::uint64_t kept_before = mirror.blocks_pruned;
+      ASSERT_EQ(fresh.or_opt_scan(0, m, mirror.px[q], mirror.py[q],
+                                  mirror.px[q], mirror.py[q], threshold),
+                mirror.or_opt_scan(0, m, mirror.px[q], mirror.py[q],
+                                   mirror.px[q], mirror.py[q], threshold))
+          << "step=" << step << " q=" << q;
+      ASSERT_EQ(fresh.blocks_pruned - fresh_before,
+                mirror.blocks_pruned - kept_before)
+          << "step=" << step << " q=" << q;
+    }
+  }
+}
+
+// A block whose points all coincide makes the bound equal to the kernel's
+// own value, so the tightest threshold that still hits is one ulp away
+// from it: an exact bound keeps the block, any margin error prunes it.
+// Two more blocks put their only hit at the block's last index, through
+// the next block's first point and through the depot sentinel at m,
+// which the box must include.
+TEST(ImproveCache, BoundsAreExactOnDegenerateBlocks) {
+  using Mirror = tsp::detail::TourMirror;
+  constexpr std::size_t kB = Mirror::kBlock;
+  for (double speed : {1.0, 2.7}) {
+    for (double offset : {0.0, 1e6}) {
+      const geom::Point s1{offset + 10.0, offset + 10.3};
+      const geom::Point s2{offset + 400.0, offset + 400.3};
+      const geom::Point s3{offset + 700.0, offset + 20.0};
+      tsp::TourProblem problem;
+      problem.speed = speed;
+      problem.depot = {offset + 900.0, offset + 900.0};
+      Rng rng(7200);
+      for (std::size_t p = 0; p < 4 * kB; ++p) {
+        geom::Point site{offset + rng.uniform(0.0, 800.0),
+                         offset + rng.uniform(0.0, 800.0)};
+        if (p <= kB) site = s1;  // block 0 and its next point
+        if (p >= 2 * kB) site = p < 3 * kB ? s2 : s3;
+        problem.sites.push_back(site);
+        problem.service.push_back(1.0);
+      }
+      Mirror mirror;
+      mirror.assign(problem, identity_tour(problem.size()));
+      const std::size_t m = problem.size();
+      const double* px = mirror.px.data();
+      const double* py = mirror.py.data();
+      const double* tc = mirror.tc.data();
+      const double min_gain = tsp::ImproveOptions{}.min_gain;
+      for (std::size_t k : {std::size_t{0}, 3 * kB - 1, 4 * kB - 1}) {
+        const std::size_t begin = k - k % kB;
+        const auto where = [&] {
+          return ::testing::Message() << "k=" << k << " speed=" << speed
+                                      << " offset=" << offset;
+        };
+        // Both queries end next to P[k + 1], so k holds the block's
+        // smallest kernel value.
+        const double qx = offset + 3.0, qy = offset + 5.0;
+        const double ex = px[k + 1] + 0.25, ey = py[k + 1] - 0.5;
+        const double dax = px[k] - qx, day = py[k] - qy;
+        const double dbx = ex - px[k + 1], dby = ey - py[k + 1];
+        const double cost = std::sqrt(dax * dax + day * day) / speed +
+                            std::sqrt(dbx * dbx + dby * dby) / speed - tc[k];
+        for (double threshold : {cost, std::nextafter(cost, 1e300)}) {
+          const std::size_t want = simd::or_opt_scan(
+              px, py, tc, begin, m, qx, qy, ex, ey, speed, threshold);
+          EXPECT_EQ(want == k, threshold != cost) << where();
+          EXPECT_EQ(want, mirror.or_opt_scan(begin, m, qx, qy, ex, ey,
+                                             threshold))
+              << "or-opt " << where();
+        }
+        // 2-opt: bisect `base` down to the ulp where the kernel starts to
+        // hit inside the block, and check both sides of that boundary.
+        const auto hits = [&](double base) {
+          return simd::two_opt_scan(px, py, tc, begin, begin + kB, qx, qy,
+                                    ex, ey, speed, base,
+                                    min_gain) != simd::kNpos;
+        };
+        double lo = -1e7, hi = 1e7;
+        ASSERT_TRUE(!hits(lo) && hits(hi)) << where();
+        while (std::nextafter(lo, hi) < hi) {
+          const double mid = lo + (hi - lo) / 2.0;
+          (hits(mid) ? hi : lo) = mid;
+        }
+        for (double base : {lo, hi}) {
+          const std::size_t want = simd::two_opt_scan(
+              px, py, tc, begin, m, qx, qy, ex, ey, speed, base, min_gain);
+          EXPECT_EQ(want == k, base == hi) << where();
+          EXPECT_EQ(want, mirror.two_opt_scan(begin, m, qx, qy, ex, ey, base,
+                                              min_gain))
+              << "2-opt " << where();
+        }
       }
     }
   }

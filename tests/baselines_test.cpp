@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <set>
 
 #include "baselines/aa.h"
@@ -195,6 +197,108 @@ TEST(Netwrap, PureDeadlineWeightActsEdf) {
   for (std::size_t i = 0; i + 1 < plan.tours[0].size(); ++i) {
     EXPECT_LE(p.residual_lifetime(plan.tours[0][i]),
               p.residual_lifetime(plan.tours[0][i + 1]) + 1e-9);
+  }
+}
+
+// The NETWRAP plan loop before its per-plan hoisting (one lifetime read
+// per plan, one distance per candidate and step), frozen verbatim.
+std::vector<std::vector<std::uint32_t>> reference_netwrap(
+    const ChargingProblem& problem, double travel_weight) {
+  const std::size_t n = problem.size();
+  const std::size_t k = problem.num_chargers();
+  std::vector<std::vector<std::uint32_t>> tours(k);
+  if (n == 0) return tours;
+  struct McvState {
+    double time;
+    geom::Point at;
+    std::uint32_t id;
+    bool operator>(const McvState& other) const {
+      if (time != other.time) return time > other.time;
+      return id > other.id;
+    }
+  };
+  std::priority_queue<McvState, std::vector<McvState>, std::greater<McvState>>
+      idle;
+  for (std::uint32_t j = 0; j < k; ++j) idle.push({0.0, problem.depot(), j});
+  std::vector<char> assigned(n, 0);
+  std::size_t remaining = n;
+  while (remaining > 0) {
+    McvState mcv = idle.top();
+    idle.pop();
+    double max_travel = 0.0;
+    double max_life = 0.0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (assigned[v]) continue;
+      max_travel = std::max(
+          max_travel, geom::distance(mcv.at, problem.position(v)));
+      const double life = problem.residual_lifetime(v);
+      if (life != std::numeric_limits<double>::infinity()) {
+        max_life = std::max(max_life, life);
+      }
+    }
+    double best_score = std::numeric_limits<double>::infinity();
+    std::uint32_t best = 0;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (assigned[v]) continue;
+      const double travel = geom::distance(mcv.at, problem.position(v));
+      const double life = problem.residual_lifetime(v);
+      const double norm_travel = max_travel > 0.0 ? travel / max_travel : 0.0;
+      double norm_life = 0.0;
+      if (max_life > 0.0 && life != std::numeric_limits<double>::infinity()) {
+        norm_life = life / max_life;
+      } else if (life == std::numeric_limits<double>::infinity()) {
+        norm_life = 1.0;
+      }
+      const double score =
+          travel_weight * norm_travel + (1.0 - travel_weight) * norm_life;
+      if (score < best_score) {
+        best_score = score;
+        best = v;
+      }
+    }
+    assigned[best] = 1;
+    --remaining;
+    tours[mcv.id].push_back(best);
+    const double travel_time =
+        geom::distance(mcv.at, problem.position(best)) / problem.speed();
+    mcv.time += travel_time + problem.charge_seconds(best);
+    mcv.at = problem.position(best);
+    idle.push(mcv);
+  }
+  return tours;
+}
+
+TEST(Netwrap, MatchesFrozenReferenceLoop) {
+  Rng rng(11);
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{120},
+                        std::size_t{400}}) {
+    for (std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+      ChargingProblem p = random_problem(n, k, rng);
+      // Unset lifetimes (all +infinity) on every other size.
+      if (n % 2 == 1) {
+        p = ChargingProblem(p.positions(), p.charge_seconds(), p.depot(),
+                            2.7, 1.0, k);
+      }
+      for (double weight : {0.0, 0.3, 0.5, 1.0}) {
+        EXPECT_EQ(reference_netwrap(p, weight),
+                  NetwrapScheduler(weight).plan(p).tours)
+            << "n=" << n << " k=" << k << " weight=" << weight;
+      }
+    }
+  }
+  // Ties: a lattice with equal lifetimes, so scores repeat exactly and the
+  // lowest index must win every time.
+  std::vector<geom::Point> pts;
+  for (int x = 0; x < 6; ++x) {
+    for (int y = 0; y < 6; ++y) pts.push_back({10.0 * x, 10.0 * y});
+  }
+  ChargingProblem lattice(pts, std::vector<double>(pts.size(), 4000.0),
+                          {25.0, 25.0}, 2.7, 1.0, 2);
+  lattice.set_residual_lifetimes(std::vector<double>(pts.size(), 5000.0));
+  for (double weight : {0.0, 0.5, 1.0}) {
+    EXPECT_EQ(reference_netwrap(lattice, weight),
+              NetwrapScheduler(weight).plan(lattice).tours)
+        << "lattice weight=" << weight;
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -15,6 +17,7 @@
 #include "graph/mst.h"
 #include "graph/traversal.h"
 #include "graph/unit_disk.h"
+#include "util/assert.h"
 #include "util/rng.h"
 
 namespace mcharge::graph {
@@ -204,6 +207,104 @@ TEST(Mst, TrivialSizes) {
   const auto one = euclidean_mst({{0, 0}, {3, 4}});
   ASSERT_EQ(one.size(), 1u);
   EXPECT_DOUBLE_EQ(one[0].weight, 5.0);
+}
+
+// The Prim loop prim_mst replaced, frozen verbatim: a separate arg-min
+// pass, then a relax pass, with the weight behind std::function.
+std::vector<WeightedEdge> reference_prim(
+    std::size_t n,
+    const std::function<double(std::uint32_t, std::uint32_t)>& weight) {
+  std::vector<WeightedEdge> tree;
+  if (n <= 1) return tree;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> best(n, kInf);
+  std::vector<std::uint32_t> parent(n, 0);
+  std::vector<char> in_tree(n, 0);
+  best[0] = 0.0;
+  for (std::size_t iter = 0; iter < n; ++iter) {
+    std::uint32_t next = 0;
+    double next_cost = kInf;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (!in_tree[v] && best[v] < next_cost) {
+        next_cost = best[v];
+        next = v;
+      }
+    }
+    MCHARGE_ASSERT(next_cost < kInf, "prim: graph must be complete");
+    in_tree[next] = 1;
+    if (next != 0) tree.push_back({parent[next], next, best[next]});
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (in_tree[v]) continue;
+      const double w = weight(next, v);
+      if (w < best[v]) {
+        best[v] = w;
+        parent[v] = next;
+      }
+    }
+  }
+  return tree;
+}
+
+// Same edges, same order, same weight bits as the frozen loop.
+void expect_prim_matches_reference(const std::vector<geom::Point>& pts) {
+  const auto weight = [&](std::uint32_t a, std::uint32_t b) {
+    return geom::distance(pts[a], pts[b]);
+  };
+  const auto want = reference_prim(pts.size(), weight);
+  const auto got = prim_mst(pts.size(), weight);
+  ASSERT_EQ(want.size(), got.size()) << "n=" << pts.size();
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(want[e].u, got[e].u) << "edge " << e;
+    EXPECT_EQ(want[e].v, got[e].v) << "edge " << e;
+    EXPECT_EQ(std::memcmp(&want[e].weight, &got[e].weight, sizeof(double)),
+              0)
+        << "edge " << e;
+  }
+}
+
+TEST(Mst, PrimMatchesFrozenLoopOnTrivialSizes) {
+  expect_prim_matches_reference({});
+  expect_prim_matches_reference({{3.0, 4.0}});
+  expect_prim_matches_reference({{3.0, 4.0}, {0.0, 0.0}});
+}
+
+TEST(Mst, PrimMatchesFrozenLoopOnExactTies) {
+  // A unit lattice: every vertex has several neighbours at exactly 1.0,
+  // so the lowest-index tie rule decides almost every step.
+  std::vector<geom::Point> lattice;
+  for (int x = 0; x < 9; ++x) {
+    for (int y = 0; y < 7; ++y) lattice.push_back({double(x), double(y)});
+  }
+  expect_prim_matches_reference(lattice);
+  // All pairwise weights equal: a constant weight function.
+  const auto want = reference_prim(12, [](std::uint32_t, std::uint32_t) {
+    return 2.5;
+  });
+  const auto got = prim_mst(12, [](std::uint32_t, std::uint32_t) {
+    return 2.5;
+  });
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(want[e].u, got[e].u);
+    EXPECT_EQ(want[e].v, got[e].v);
+  }
+}
+
+TEST(Mst, PrimMatchesFrozenLoopOnDuplicatesAndCollinear) {
+  Rng rng(78);
+  std::vector<geom::Point> dup;
+  for (int i = 0; i < 40; ++i) {
+    const geom::Point p{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+    for (int copy = 0; copy < 1 + i % 3; ++copy) dup.push_back(p);
+  }
+  expect_prim_matches_reference(dup);
+  std::vector<geom::Point> line;
+  for (int i = 0; i < 80; ++i) {
+    const double x = rng.uniform(0.0, 100.0);
+    line.push_back({x, 0.5 * x + 3.0});
+  }
+  expect_prim_matches_reference(line);
+  expect_prim_matches_reference(geom::uniform_field(300, 100.0, 100.0, rng));
 }
 
 TEST(Mst, KruskalDisconnectedIsForest) {
