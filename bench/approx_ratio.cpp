@@ -10,6 +10,7 @@
 //
 // Flags: --tiny_instances=200 --tiny_n=5 --big_instances=20 --big_n=1000
 //        --chargers=2 --seed=1
+// An unknown flag or a malformed value exits with code 2.
 #include <cstdio>
 #include <iostream>
 
@@ -42,6 +43,12 @@ model::ChargingProblem random_round(std::size_t n, std::size_t k, Rng& rng,
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
+  flags.require_valid({{"tiny_instances", FlagKind::kCount},
+                       {"tiny_n", FlagKind::kCount},
+                       {"big_instances", FlagKind::kCount},
+                       {"big_n", FlagKind::kCount},
+                       {"chargers", FlagKind::kCount},
+                       {"seed", FlagKind::kCount}});
   const auto tiny_instances =
       static_cast<std::size_t>(flags.get_int("tiny_instances", 200));
   const auto tiny_n = static_cast<std::size_t>(flags.get_int("tiny_n", 5));

@@ -20,12 +20,13 @@
 //
 // Flags: --n=400 --chargers=3 --instances=5 --months=6 --seed=1
 //        --fault-seed=1 --jobs=0 --mcv-budget=J --budget-sweep=1
-//        [--csv=PREFIX]
+//        [--csv=PREFIX] [--trace-out=PATH]
 // (--jobs: worker threads; 0 = all hardware threads. Output is identical
 // for every job count — each (policy, rate, instance) work item reseeds
 // itself from the instance index alone. --mcv-budget: fixed capacity in
 // joules for the breakdown-rate table, 0 = unlimited. --budget-sweep=0
-// skips the budget table.)
+// skips the budget table. An unknown flag or a malformed value exits with
+// code 2.)
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -46,6 +47,17 @@
 int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
+  flags.require_valid({{"n", FlagKind::kCount},
+                       {"chargers", FlagKind::kCount},
+                       {"instances", FlagKind::kCount},
+                       {"months", FlagKind::kNumber},
+                       {"seed", FlagKind::kCount},
+                       {"fault-seed", FlagKind::kCount},
+                       {"jobs", FlagKind::kCount},
+                       {"mcv-budget", FlagKind::kNumber},
+                       {"budget-sweep", FlagKind::kCount},
+                       {"csv", FlagKind::kText},
+                       {"trace-out", FlagKind::kText}});
   const bench::TraceOutput trace(flags);
   const auto n = static_cast<std::size_t>(flags.get_int("n", 400));
   const auto k = static_cast<std::size_t>(flags.get_int("chargers", 3));

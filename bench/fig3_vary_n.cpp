@@ -9,8 +9,12 @@
 int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
+  const auto settings = bench::SweepSettings::from_flags(
+      flags, {{"nmin", FlagKind::kCount},
+              {"nmax", FlagKind::kCount},
+              {"nstep", FlagKind::kCount},
+              {"chargers", FlagKind::kCount}});
   const bench::TraceOutput trace(flags);
-  const auto settings = bench::SweepSettings::from_flags(flags);
   const auto n_min = static_cast<std::size_t>(flags.get_int("nmin", 200));
   const auto n_max = static_cast<std::size_t>(flags.get_int("nmax", 1200));
   const auto n_step = static_cast<std::size_t>(flags.get_int("nstep", 200));

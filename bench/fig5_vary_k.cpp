@@ -9,8 +9,9 @@
 int main(int argc, char** argv) {
   using namespace mcharge;
   const CliFlags flags(argc, argv);
+  const auto settings = bench::SweepSettings::from_flags(
+      flags, {{"n", FlagKind::kCount}, {"kmax", FlagKind::kCount}});
   const bench::TraceOutput trace(flags);
-  const auto settings = bench::SweepSettings::from_flags(flags);
   const auto n = static_cast<std::size_t>(flags.get_int("n", 1000));
   const auto k_max = static_cast<std::size_t>(flags.get_int("kmax", 5));
 

@@ -11,39 +11,28 @@
 //   --instances=N   instances per point           (default 10; paper: 100)
 //   --months=M      monitoring period in months   (default 12, as the paper)
 //   --seed=S        base RNG seed                 (default 1)
-//   --jobs=N        worker threads; 0 = all hardware threads (default),
-//                   1 = serial. Output is byte-identical for every N.
-//   --sim-jobs=N    worker threads *inside* each simulation's per-sensor
-//                   scans (default 1 = serial; 0 = all hardware threads).
-//                   Byte-identical for every N; useful when a single huge
-//                   instance dominates instead of many parallel items.
-//   --plan-jobs=N   worker threads inside each scheduler invocation
-//                   (per-segment tour improvement + eager travel-cache
-//                   fill; default 0 = the scheduler's own configuration).
-//                   Byte-identical for every N, same caveat as --sim-jobs:
-//                   only pays when one huge instance dominates.
+//   --jobs=N        worker threads over the (instance, algorithm) work
+//                   items; 0 = all hardware threads (default), 1 = serial.
+//                   Output is byte-identical for every N.
 //   --mcv-budget=J  usable MCV battery capacity in joules (default 0 =
 //                   unlimited). Enabling it routes every round through the
 //                   budgeted executor: tours that would overdraw abort at
 //                   the exhaustion point and the orphaned stops are pushed
 //                   to the next round (RecoveryPolicy::kDefer).
 //   --csv=PREFIX    also write PREFIX_a.csv / PREFIX_b.csv
-//   --shard=i/N     run only work items with global index = i mod N and
-//                   write a chunk file instead of tables (requires --chunk).
-//                   Merging the N chunks with merge_shards reproduces the
-//                   unsharded output byte for byte.
-//   --chunk=PATH    chunk file path for --shard mode
+//   --layout=L      uniform (default, as the paper) / clustered / grid
+//   --trace-out=P   write a trace report to P (trace_common.h)
+// An unknown flag or a malformed value exits with code 2.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "shard_chunk.h"
 
 #include "baselines/aa.h"
 #include "baselines/kedf.h"
@@ -76,18 +65,8 @@ struct SweepSettings {
   std::uint64_t seed = 1;
   /// Worker threads for the (instance, algorithm) work items; 0 = all
   /// hardware threads, 1 = serial. Never affects the numbers, only speed.
+  /// This sweep-level pool is the only parallelism in the repository.
   std::size_t jobs = 0;
-  /// Worker threads inside each simulation's per-sensor scans
-  /// (SimConfig::jobs). Defaults to serial: the item-level fan-out above
-  /// already saturates the machine on normal sweeps, so nested pools
-  /// would only add contention. Raise it for single-instance runs at
-  /// large n. Never affects the numbers, only speed.
-  std::size_t sim_jobs = 1;
-  /// Worker threads inside each scheduler invocation (SimConfig::plan_jobs:
-  /// per-segment tour improvement and the eager travel-cache fill).
-  /// Defaults to 0 = the scheduler's own configuration, for the same
-  /// reason as sim_jobs. Never affects the numbers, only speed.
-  std::size_t plan_jobs = 0;
   /// MCV battery capacity in joules; 0 (default) = unlimited, taking the
   /// unbudgeted simulator path byte for byte (SimConfig::mcv_budget).
   double mcv_budget_j = 0.0;
@@ -95,40 +74,39 @@ struct SweepSettings {
   /// Sensor placement. The paper uses uniform; --layout=clustered/grid
   /// checks that the conclusions survive other deployment shapes.
   model::FieldLayout layout = model::FieldLayout::kUniform;
-  /// Sharding (--shard=i/N): this process computes only the work items
-  /// whose global index (across all sweep points) is i mod N, and writes
-  /// them to `chunk_path` for merge_shards. 1 = unsharded.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  std::string chunk_path;
 
-  static SweepSettings from_flags(const CliFlags& flags) {
+  /// Validates the flags against the common ones above plus the bench's
+  /// own `extra` flags (exit code 2 on an unknown flag or a malformed
+  /// value), then reads the common ones.
+  static SweepSettings from_flags(const CliFlags& flags,
+                                  std::initializer_list<FlagSpec> extra) {
+    std::vector<FlagSpec> accepted{{"instances", FlagKind::kCount},
+                                   {"months", FlagKind::kNumber},
+                                   {"seed", FlagKind::kCount},
+                                   {"jobs", FlagKind::kCount},
+                                   {"mcv-budget", FlagKind::kNumber},
+                                   {"csv", FlagKind::kText},
+                                   {"layout", FlagKind::kText},
+                                   {"trace-out", FlagKind::kText}};
+    accepted.insert(accepted.end(), extra);
+    flags.require_valid(accepted);
     SweepSettings s;
     s.instances = static_cast<std::size_t>(flags.get_int("instances", 10));
     s.months = flags.get_double("months", 12.0);
     s.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     s.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
-    s.sim_jobs = static_cast<std::size_t>(flags.get_int("sim-jobs", 1));
-    s.plan_jobs = static_cast<std::size_t>(flags.get_int("plan-jobs", 0));
     s.mcv_budget_j = flags.get_double("mcv-budget", 0.0);
     s.csv_prefix = flags.get("csv", "");
     const std::string layout = flags.get("layout", "uniform");
-    if (layout == "clustered") s.layout = model::FieldLayout::kClustered;
-    if (layout == "grid") s.layout = model::FieldLayout::kGrid;
-    const std::string shard = flags.get("shard", "");
-    if (!shard.empty()) {
-      if (std::sscanf(shard.c_str(), "%zu/%zu", &s.shard_index,
-                      &s.shard_count) != 2 ||
-          s.shard_count == 0 || s.shard_index >= s.shard_count) {
-        std::fprintf(stderr, "bad --shard=%s (want i/N with 0 <= i < N)\n",
-                     shard.c_str());
-        std::exit(2);
-      }
-      s.chunk_path = flags.get("chunk", "");
-      if (s.shard_count > 1 && s.chunk_path.empty()) {
-        std::fprintf(stderr, "--shard requires --chunk=PATH\n");
-        std::exit(2);
-      }
+    if (layout == "clustered") {
+      s.layout = model::FieldLayout::kClustered;
+    } else if (layout == "grid") {
+      s.layout = model::FieldLayout::kGrid;
+    } else if (layout != "uniform") {
+      std::fprintf(stderr,
+                   "flag --layout=%s: expected uniform, clustered or grid\n",
+                   layout.c_str());
+      std::exit(2);
     }
     return s;
   }
@@ -144,47 +122,34 @@ struct PointResult {
   std::size_t violations = 0;
 };
 
-/// Raw simulator output of one (instance, algorithm) work item. `present`
-/// is false for items assigned to other shards.
+/// Raw simulator output of one (instance, algorithm) work item.
 struct ItemSample {
   double tour = 0.0;
   double dead = 0.0;
   std::size_t violations = 0;
-  bool present = false;
 };
 
-/// Runs the work items of one sweep point and returns the raw per-item
-/// samples (instances * num_algos slots, instance-major).
+/// Runs one sweep point and reduces it.
 ///
 /// One work item per (instance, algorithm) pair: the item regenerates
 /// its instance from a seed derived only from the instance index (all
 /// algorithms see the same instance, and no state crosses items), runs
-/// the year-long simulation, and records into its own slot. The mapping
-/// of items to threads therefore cannot influence any number. Under
-/// --shard=i/N, items whose global index (point_idx * items-per-point +
-/// local index) is not congruent to i are skipped and left absent.
+/// the year-long simulation, and records into its own slot. The slots
+/// are then reduced on the calling thread in instance order, so the
+/// mapping of items to threads cannot influence any number.
 template <typename MakeInstance>
-std::vector<ItemSample> run_point_samples(
-    const SweepSettings& settings,
-    const std::vector<sched::SchedulerPtr>& algorithms,
-    MakeInstance&& make_instance, std::size_t point_idx = 0) {
+PointResult run_point(const SweepSettings& settings,
+                      const std::vector<sched::SchedulerPtr>& algorithms,
+                      MakeInstance&& make_instance) {
   sim::SimConfig sim_config;
   sim_config.monitoring_period_s = settings.months * 30.0 * 86400.0;
-  sim_config.jobs = settings.sim_jobs;
-  sim_config.plan_jobs = settings.plan_jobs;
   sim_config.mcv_budget.capacity_j = settings.mcv_budget_j;
 
   const std::size_t num_algos = algorithms.size();
-  const std::size_t stride = settings.instances * num_algos;
-  std::vector<ItemSample> items(stride);
+  std::vector<ItemSample> items(settings.instances * num_algos);
   parallel_for(
       items.size(),
       [&](std::size_t idx) {
-        if (settings.shard_count > 1 &&
-            (point_idx * stride + idx) % settings.shard_count !=
-                settings.shard_index) {
-          return;
-        }
         const std::size_t inst = idx / num_algos;
         const std::size_t a = idx % num_algos;
         Rng rng(derive_seed(settings.seed, inst));
@@ -200,20 +165,12 @@ std::vector<ItemSample> run_point_samples(
         items[idx].tour = r.mean_longest_delay_hours();
         items[idx].dead = r.mean_dead_minutes_per_sensor;
         items[idx].violations = r.verify_violations;
-        items[idx].present = true;
       },
       settings.jobs);
-  return items;
-}
 
-/// Deterministic single-threaded reduction of a point's samples, in
-/// instance order. Shared by the unsharded path and merge_shards, so the
-/// merged figures are byte-identical by construction: each item
-/// contributed exactly one sample, and rebuilding a one-sample
-/// RunningStats from the stored double reproduces its state exactly.
-inline PointResult reduce_point(const SweepSettings& settings,
-                                std::size_t num_algos,
-                                const std::vector<ItemSample>& items) {
+  // Each item folds in as a merged one-sample RunningStats (not add()):
+  // the two round differently, and the printed figures are pinned to
+  // this order of operations.
   std::vector<RunningStats> tour(num_algos);
   std::vector<RunningStats> dead(num_algos);
   PointResult result;
@@ -237,37 +194,19 @@ inline PointResult reduce_point(const SweepSettings& settings,
   return result;
 }
 
-template <typename MakeInstance>
-PointResult run_point(const SweepSettings& settings,
-                      const std::vector<sched::SchedulerPtr>& algorithms,
-                      MakeInstance&& make_instance) {
-  return reduce_point(
-      settings, algorithms.size(),
-      run_point_samples(settings, algorithms, make_instance));
-}
-
-inline std::vector<std::string> algorithm_names(
-    const std::vector<sched::SchedulerPtr>& algorithms) {
-  std::vector<std::string> names;
-  names.reserve(algorithms.size());
-  for (const auto& a : algorithms) names.push_back(a->name());
-  return names;
-}
-
 /// Prints the two series ((a) tour duration, (b) dead duration) and
-/// optionally writes CSVs. Takes algorithm names rather than scheduler
-/// instances so merge_shards can emit figures from chunk headers alone.
+/// optionally writes CSVs.
 inline void emit_figure(const std::string& figure, const std::string& knob,
                         const std::vector<std::string>& knob_values,
-                        const std::vector<std::string>& algo_names,
+                        const std::vector<sched::SchedulerPtr>& algorithms,
                         const std::vector<PointResult>& points,
                         const SweepSettings& settings) {
   std::vector<std::string> headers{knob};
-  for (const auto& name : algo_names) headers.push_back(name);
+  for (const auto& a : algorithms) headers.push_back(a->name());
   // Both outputs also carry per-algorithm stddev columns (across the
   // replicated instances) so plots can show error bars.
   std::vector<std::string> csv_headers = headers;
-  for (const auto& name : algo_names) csv_headers.push_back(name + "_sd");
+  for (const auto& a : algorithms) csv_headers.push_back(a->name() + "_sd");
 
   Table tour(csv_headers);
   Table dead(csv_headers);
@@ -304,8 +243,7 @@ inline void emit_figure(const std::string& figure, const std::string& knob,
 }
 
 /// Drives a whole figure sweep: the bench main adds one point per knob
-/// value, then finish() either prints the figure (unsharded) or writes
-/// this shard's chunk file for merge_shards.
+/// value, then finish() prints the figure.
 class FigureSweep {
  public:
   FigureSweep(std::string figure, std::string knob, SweepSettings settings)
@@ -314,70 +252,25 @@ class FigureSweep {
         settings_(std::move(settings)),
         algorithms_(paper_algorithms()) {}
 
-  const SweepSettings& settings() const { return settings_; }
-  const std::vector<sched::SchedulerPtr>& algorithms() const {
-    return algorithms_;
-  }
-
   template <typename MakeInstance>
   void add_point(std::string label, MakeInstance&& make_instance) {
-    samples_.push_back(run_point_samples(settings_, algorithms_,
-                                         make_instance, samples_.size()));
+    points_.push_back(run_point(settings_, algorithms_, make_instance));
     labels_.push_back(std::move(label));
   }
 
-  /// Emits the figure (or the chunk). Returns the process exit code.
+  /// Emits the figure. Returns the process exit code.
   int finish() const {
-    if (settings_.shard_count > 1) return write_shard_chunk();
-    std::vector<PointResult> points;
-    points.reserve(samples_.size());
-    for (const auto& s : samples_) {
-      points.push_back(reduce_point(settings_, algorithms_.size(), s));
-    }
-    emit_figure(figure_, knob_, labels_, algorithm_names(algorithms_), points,
-                settings_);
+    emit_figure(figure_, knob_, labels_, algorithms_, points_, settings_);
     return 0;
   }
 
  private:
-  int write_shard_chunk() const {
-    ChunkFile chunk;
-    chunk.kind = "figure";
-    chunk.figure = figure_;
-    chunk.knob = knob_;
-    chunk.seed = settings_.seed;
-    chunk.instances = settings_.instances;
-    chunk.months = settings_.months;
-    chunk.shard_index = settings_.shard_index;
-    chunk.shard_count = settings_.shard_count;
-    chunk.algo_names = algorithm_names(algorithms_);
-    chunk.labels = labels_;
-    for (std::size_t p = 0; p < samples_.size(); ++p) {
-      for (std::size_t idx = 0; idx < samples_[p].size(); ++idx) {
-        const ItemSample& item = samples_[p][idx];
-        if (!item.present) continue;
-        chunk.items.push_back({p, idx / algorithms_.size(),
-                               idx % algorithms_.size(), item.violations,
-                               {item.tour, item.dead}});
-      }
-    }
-    if (!write_chunk(settings_.chunk_path, chunk)) {
-      std::fprintf(stderr, "cannot write chunk file %s\n",
-                   settings_.chunk_path.c_str());
-      return 1;
-    }
-    std::printf("shard %zu/%zu: %zu item(s) -> %s\n", settings_.shard_index,
-                settings_.shard_count, chunk.items.size(),
-                settings_.chunk_path.c_str());
-    return 0;
-  }
-
   std::string figure_;
   std::string knob_;
   SweepSettings settings_;
   std::vector<sched::SchedulerPtr> algorithms_;
   std::vector<std::string> labels_;
-  std::vector<std::vector<ItemSample>> samples_;
+  std::vector<PointResult> points_;
 };
 
 }  // namespace mcharge::bench

@@ -349,28 +349,6 @@ void BM_MinMaxKTours(benchmark::State& state) {
 }
 BENCHMARK(BM_MinMaxKTours)->Arg(1)->Arg(2)->Arg(5);
 
-void BM_SplitImprove(benchmark::State& state) {
-  // min_max_k_tours with the per-segment improvement fanned out over
-  // `jobs` workers (MinMaxTourOptions::jobs). The k segments improve
-  // independently into their own slots, so the result is byte-identical
-  // at every job count; on a multi-core machine jobs > 1 shows the
-  // wall-clock headroom of the per-charger decomposition (this is the
-  // planner's dominant parallel section).
-  const auto p = make_tour_problem(600, 8);
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const auto jobs = static_cast<std::size_t>(state.range(1));
-  tsp::MinMaxTourOptions options;
-  options.jobs = jobs;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tsp::min_max_k_tours(p, k, options));
-  }
-}
-BENCHMARK(BM_SplitImprove)
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Unit(benchmark::kMillisecond);
-
 void BM_ApproPlan(benchmark::State& state) {
   const auto problem =
       make_round(static_cast<std::size_t>(state.range(0)), 2, 9);
@@ -380,24 +358,6 @@ void BM_ApproPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApproPlan)->Arg(200)->Arg(600)->Arg(1200)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ApproPlanJobs(benchmark::State& state) {
-  // Same plan as BM_ApproPlan/1200 (byte-identical by the determinism
-  // contract) with the planner's parallel sections on `jobs` workers.
-  // Kept separate from BM_ApproPlan so its single-argument series stays
-  // comparable across BENCH_micro.json snapshots.
-  const auto problem =
-      make_round(static_cast<std::size_t>(state.range(0)), 2, 9);
-  core::ApproScheduler appro;
-  const auto jobs = static_cast<std::size_t>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(appro.plan_with_jobs(problem, jobs));
-  }
-}
-BENCHMARK(BM_ApproPlanJobs)
-    ->Args({1200, 2})
-    ->Args({1200, 8})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ApproInsertion(benchmark::State& state) {
@@ -539,15 +499,10 @@ BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Simulate(benchmark::State& state) {
-  // One month of simulated time under Appro at n sensors with the given
-  // SimConfig::jobs (0 = all hardware threads). Exercises the SoA drain
-  // scans (simd::crossing_min / simd::advance_select_below) plus the
-  // per-round scheduling; results are byte-identical at every job count,
-  // only the wall clock moves. shard_grain is left at its default, so
-  // jobs > 1 only splits the scans once n clears it — exactly the
-  // production heuristic under test.
+  // One month of simulated time under Appro at n sensors. Exercises the
+  // SoA drain scans (simd::crossing_min / simd::advance_select_below)
+  // plus the per-round scheduling.
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto jobs = static_cast<std::size_t>(state.range(1));
   Rng rng(23);
   model::NetworkConfig config;
   config.num_chargers = 4;
@@ -555,16 +510,11 @@ void BM_Simulate(benchmark::State& state) {
   core::ApproScheduler appro;
   sim::SimConfig sim_config;
   sim_config.monitoring_period_s = 30.0 * 86400.0;
-  sim_config.jobs = jobs;
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::simulate(instance, appro, sim_config));
   }
 }
-BENCHMARK(BM_Simulate)
-    ->Args({200, 1})
-    ->Args({1200, 1})
-    ->Args({5000, 1})
-    ->Args({5000, 0})
+BENCHMARK(BM_Simulate)->Arg(200)->Arg(1200)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ObsOverhead(benchmark::State& state) {

@@ -7,7 +7,6 @@
 #include "core/overlap_graph.h"
 #include "obs/obs.h"
 #include "util/assert.h"
-#include "util/parallel.h"
 #include "util/simd.h"
 
 namespace mcharge::core {
@@ -62,21 +61,6 @@ class TravelCache {
 
   double travel_depot(std::uint32_t u) {
     return depot_[static_cast<std::size_t>(compact_[u])];
-  }
-
-  /// Eagerly fills every pair row with up to `jobs` workers. Each row is a
-  /// disjoint preallocated slot (and each row_filled_ flag a distinct
-  /// byte), so the fan-out follows the parallel_for determinism rules; a
-  /// filled row holds exactly the bits the lazy first-touch fill would
-  /// produce — same kernel, same operands — so plans cannot change, only
-  /// where the fill latency is paid.
-  void fill_all(std::size_t jobs) {
-    parallel_for(
-        ids_.size(),
-        [this](std::size_t iu) {
-          if (!row_filled_[iu]) fill_row(iu);
-        },
-        jobs);
   }
 
  private:
@@ -153,14 +137,6 @@ sched::ChargingPlan ApproScheduler::plan(
   return plan_with_stats(problem, nullptr);
 }
 
-sched::ChargingPlan ApproScheduler::plan_with_jobs(
-    const model::ChargingProblem& problem, std::size_t jobs) const {
-  if (jobs == 0 || jobs == options_.jobs) return plan(problem);
-  ApproOptions tuned = options_;
-  tuned.jobs = jobs;
-  return ApproScheduler(std::move(tuned)).plan(problem);
-}
-
 sched::ChargingPlan ApproScheduler::plan_with_stats(
     const model::ChargingProblem& problem, ApproStats* stats) const {
   const std::size_t n = problem.size();
@@ -226,7 +202,6 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     tour_problem.service.push_back(problem.tau(sensor));
   }
   tsp::MinMaxTourOptions tour_options = options_.tour;
-  if (tour_options.jobs == 0) tour_options.jobs = options_.jobs;
   if (options_.mcv_budget.enabled() && !tour_options.energy.enabled()) {
     // Price the split's segments in the executor's battery units: a
     // second of driving burns move-cost x speed joules, a second of
@@ -244,18 +219,15 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
   }
 
   // Travel memo over the sensors the insertion phase can touch: every
-  // tour stop and every insertion candidate is a member of S_I. With a
-  // worker budget the rows are filled eagerly in one sharded pass (same
-  // bits as the lazy fills, see fill_all); serially the lazy first-touch
-  // fill avoids computing rows the insertion never reads.
-  std::vector<std::uint32_t> si_sensors(s_i.begin(), s_i.end());
-  TravelCache travel(problem, si_sensors);
-  {
-    // Bills the eager sharded fill; serial runs fill lazily on first
-    // touch, which lands in appro.insertion instead.
+  // tour stop and every insertion candidate is a member of S_I. The span
+  // bills the construction (member index, SoA copy, table allocation and
+  // the depot row); pair rows fill lazily on first touch, so that cost
+  // lands in appro.insertion and rows the insertion never reads are never
+  // computed.
+  TravelCache travel = [&] {
     OBS_SPAN("appro.travel_cache");
-    if (options_.jobs > 1) travel.fill_all(options_.jobs);
-  }
+    return TravelCache(problem, s_i);
+  }();
 
   // Working tours over sensor ids, with tau' = tau (coverage disks of V'_H
   // nodes are pairwise disjoint, so nothing is double-counted initially).

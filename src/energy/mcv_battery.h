@@ -14,8 +14,8 @@
 // capacity_j == 0 disables the budget entirely: every consumer must then
 // take exactly the unbudgeted code path (the repo-wide byte-identity
 // contract). All arithmetic here is plain double add/subtract applied in
-// tour order, so budgeted results are bit-identical across jobs, SIMD
-// backends, and recovery policies.
+// tour order, so budgeted results are bit-identical across SIMD backends
+// and recovery policies.
 #pragma once
 
 #include "util/assert.h"

@@ -22,12 +22,11 @@ class Scheduler {
   /// Computes a plan covering every sensor of the problem.
   virtual ChargingPlan plan(const model::ChargingProblem& problem) const = 0;
 
-  /// Computes the same plan using up to `jobs` worker threads for the
-  /// scheduler's internal parallel sections. jobs == 0 leaves the
-  /// scheduler's own configuration in effect (equivalent to plan()).
-  /// The thread count must never change the plan — only wall-clock time
-  /// (the repo-wide determinism contract); the default implementation
-  /// ignores the hint and plans serially.
+  /// Equivalent to plan(): `jobs` is ignored, since no scheduler has an
+  /// internal parallel section (parallelism lives at the sweep level).
+  /// The hook survives only because decorators outside the library, such
+  /// as the end-to-end benchmark's timing wrapper, override it; nothing in
+  /// the library calls it or overrides it.
   virtual ChargingPlan plan_with_jobs(const model::ChargingProblem& problem,
                                       std::size_t jobs) const {
     (void)jobs;

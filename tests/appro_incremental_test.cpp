@@ -9,8 +9,8 @@
 //
 // The claim under test is BITWISE identity, the repo-wide determinism
 // contract: the incremental insertion, the exact-replay local-search
-// caches, the block-pruned scans (tsp/tour_mirror.h), and every jobs /
-// SIMD-backend setting must reproduce the reference plans and tours bit
+// caches, the block-pruned scans (tsp/tour_mirror.h), and every SIMD
+// backend must reproduce the reference plans and tours bit
 // for bit — same tours, same stats, same gains — across problem sizes,
 // insertion rules and seeds. memcmp on a flat serialization keeps the
 // comparison honest (no epsilon anywhere).
@@ -757,8 +757,8 @@ struct RoundCase {
   std::vector<std::uint64_t> seeds;
 };
 
-// The acceptance matrix: {legacy, incremental} x insertion rules x jobs
-// {0, 1, 4, 8} x every supported SIMD backend, memcmp'd plan + stats.
+// The acceptance matrix: {legacy, incremental} x insertion rules x every
+// supported SIMD backend, memcmp'd plan + stats.
 // The larger sizes keep one seed each to bound runtime.
 TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
   const std::vector<RoundCase> cases = {
@@ -778,62 +778,19 @@ TEST(ApproIncremental, PlansMatchLegacyByteForByte) {
           const std::vector<unsigned char> want =
               serialize(core::ApproScheduler(legacy).plan_with_stats(
                   problem, &legacy_stats));
-          for (std::size_t jobs : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{4}, std::size_t{8}}) {
-            core::ApproOptions incremental;
-            incremental.insertion = rule;
-            incremental.jobs = jobs;
-            core::ApproStats stats;
-            const std::vector<unsigned char> got =
-                serialize(core::ApproScheduler(incremental).plan_with_stats(
-                    problem, &stats));
-            EXPECT_TRUE(bytes_equal(want, got))
-                << "n=" << c.n << " seed=" << seed << " jobs=" << jobs
-                << " rule=" << static_cast<int>(rule)
-                << " backend=" << static_cast<int>(b);
-            expect_stats_equal(legacy_stats, stats);
-          }
+          core::ApproOptions incremental;
+          incremental.insertion = rule;
+          core::ApproStats stats;
+          const std::vector<unsigned char> got =
+              serialize(core::ApproScheduler(incremental).plan_with_stats(
+                  problem, &stats));
+          EXPECT_TRUE(bytes_equal(want, got))
+              << "n=" << c.n << " seed=" << seed
+              << " rule=" << static_cast<int>(rule)
+              << " backend=" << static_cast<int>(b);
+          expect_stats_equal(legacy_stats, stats);
         }
       }
-    }
-  }
-}
-
-// plan_with_jobs is a pure thread-count override: every hint must return
-// the bits of plan(), and a hint equal to the configured jobs must not
-// re-instantiate the scheduler path differently either.
-TEST(ApproIncremental, PlanWithJobsIsByteIdenticalToPlan) {
-  const model::ChargingProblem problem = random_round(300, 3, 11);
-  const core::ApproScheduler scheduler;
-  const std::vector<unsigned char> want = serialize(scheduler.plan(problem));
-  for (std::size_t jobs : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                           std::size_t{4}, std::size_t{8}}) {
-    EXPECT_TRUE(bytes_equal(want,
-                            serialize(scheduler.plan_with_jobs(problem, jobs))))
-        << "jobs=" << jobs;
-  }
-  // Via the Scheduler base interface, as the simulator calls it.
-  const sched::Scheduler& base = scheduler;
-  EXPECT_TRUE(bytes_equal(want, serialize(base.plan_with_jobs(problem, 4))));
-}
-
-// A scheduler configured parallel must equal the serial default, and the
-// legacy path must ignore the jobs knob the same way.
-TEST(ApproIncremental, ConfiguredJobsMatchSerialDefault) {
-  for (std::uint64_t seed : {21, 22}) {
-    const model::ChargingProblem problem = random_round(400, 4, seed);
-    const std::vector<unsigned char> want =
-        serialize(core::ApproScheduler().plan(problem));
-    for (std::size_t jobs : {std::size_t{2}, std::size_t{8}}) {
-      core::ApproOptions options;
-      options.jobs = jobs;
-      EXPECT_TRUE(bytes_equal(
-          want, serialize(core::ApproScheduler(options).plan(problem))))
-          << "jobs=" << jobs << " seed=" << seed;
-      options.legacy_insertion = true;
-      EXPECT_TRUE(bytes_equal(
-          want, serialize(core::ApproScheduler(options).plan(problem))))
-          << "legacy jobs=" << jobs << " seed=" << seed;
     }
   }
 }

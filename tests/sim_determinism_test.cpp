@@ -1,13 +1,9 @@
-// Bitwise determinism of sim::simulate across worker counts and SIMD
-// backends.
+// Bitwise determinism of sim::simulate across SIMD backends.
 //
-// The contract under test (SimConfig::jobs): for a fixed instance and
-// config, the full SimResult — every scalar, every per-sensor vector,
-// every RunningStats moment, every RoundLog entry — is bit-identical no
-// matter how many worker threads shard the per-sensor scans and no
-// matter which SIMD backend serves the kernels. shard_grain is lowered
-// so that jobs > 1 really splits the scans at test-sized n instead of
-// falling back to the serial path.
+// The contract under test: for a fixed instance and config, the full
+// SimResult — every scalar, every per-sensor vector, every RunningStats
+// moment, every RoundLog entry — is bit-identical no matter which SIMD
+// backend serves the per-sensor scan kernels, and across repeated runs.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -46,46 +42,23 @@ TEST(SimDeterminism, ByteIdenticalAcrossJobsAndBackends) {
     config.record_rounds = true;
     config.dispatch_epoch_s = variant.dispatch_epoch_s;
     config.charge_target_fraction = variant.charge_target_fraction;
-    config.shard_grain = 32;  // force real sharding at n = 300
 
-    // Reference: serial scan, scalar kernels.
+    // Reference: scalar kernels.
     SimResult reference;
     {
       BackendGuard guard(simd::Backend::kScalar);
-      config.jobs = 1;
       reference = simulate(instance, appro, config);
     }
     ASSERT_GT(reference.rounds, 0u) << variant.tag;
 
     for (simd::Backend b : supported_backends()) {
       BackendGuard guard(b);
-      for (std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                               std::size_t{8}}) {
-        config.jobs = jobs;
-        const SimResult got = simulate(instance, appro, config);
-        SCOPED_TRACE(std::string(variant.tag) + " jobs=" +
-                     std::to_string(jobs) + " backend=" +
-                     simd::backend_name(b));
-        expect_results_identical(reference, got);
-      }
+      const SimResult got = simulate(instance, appro, config);
+      SCOPED_TRACE(std::string(variant.tag) + " backend=" +
+                   simd::backend_name(b));
+      expect_results_identical(reference, got);
     }
   }
-}
-
-TEST(SimDeterminism, JobsZeroUsesDefaultAndStaysIdentical) {
-  Rng rng(78);
-  const auto instance =
-      model::make_instance(model::NetworkConfig{}, 200, rng);
-  core::ApproScheduler appro;
-  SimConfig config;
-  config.monitoring_period_s = 45.0 * 86400.0;
-  config.record_rounds = true;
-  config.shard_grain = 16;
-  config.jobs = 1;
-  const SimResult reference = simulate(instance, appro, config);
-  config.jobs = 0;  // default_jobs()
-  const SimResult got = simulate(instance, appro, config);
-  expect_results_identical(reference, got);
 }
 
 }  // namespace

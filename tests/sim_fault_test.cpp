@@ -4,7 +4,7 @@
 //
 // The contracts under test:
 //  * for a fixed fault seed, the full SimResult is bit-identical across
-//    worker counts, SIMD backends, and is so for every recovery policy
+//    SIMD backends, and is so for every recovery policy
 //    (the policies differ from each other, but each is deterministic);
 //  * a FaultConfig with all rates at zero takes exactly the fault-free
 //    code path — byte-identical to a default-constructed config;
@@ -76,14 +76,12 @@ TEST(SimFaults, ByteIdenticalAcrossJobsBackendsAndSeeds) {
       SimConfig config;
       config.monitoring_period_s = 45.0 * 86400.0;
       config.record_rounds = true;
-      config.shard_grain = 32;  // force real sharding at n = 250
       config.faults = harsh_faults(fault_seed);
       config.recovery = policy;
 
       SimResult reference;
       {
         BackendGuard guard(simd::Backend::kScalar);
-        config.jobs = 1;
         reference = simulate(instance, appro, config);
       }
       ASSERT_GT(reference.rounds, 0u);
@@ -93,16 +91,11 @@ TEST(SimFaults, ByteIdenticalAcrossJobsBackendsAndSeeds) {
 
       for (simd::Backend b : supported_backends()) {
         BackendGuard guard(b);
-        for (std::size_t jobs :
-             {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-          config.jobs = jobs;
-          const SimResult got = simulate(instance, appro, config);
-          SCOPED_TRACE(std::string(policy_name(policy)) + " seed=" +
-                       std::to_string(fault_seed) + " jobs=" +
-                       std::to_string(jobs) + " backend=" +
-                       simd::backend_name(b));
-          expect_results_identical(reference, got);
-        }
+        const SimResult got = simulate(instance, appro, config);
+        SCOPED_TRACE(std::string(policy_name(policy)) + " seed=" +
+                     std::to_string(fault_seed) + " backend=" +
+                     simd::backend_name(b));
+        expect_results_identical(reference, got);
       }
     }
   }
@@ -385,7 +378,6 @@ TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
   SimConfig base;
   base.monitoring_period_s = 45.0 * 86400.0;
   base.record_rounds = true;
-  base.shard_grain = 32;  // force real sharding at n = 250
   const double mean_j = mean_mcv_round_energy(instance, appro, base, 0.9);
 
   for (const core::RecoveryPolicy policy : kPolicies) {
@@ -400,7 +392,6 @@ TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
     SimResult reference;
     {
       BackendGuard guard(simd::Backend::kScalar);
-      config.jobs = 1;
       reference = simulate(instance, appro, config);
     }
     ASSERT_GT(reference.rounds, 0u);
@@ -409,14 +400,10 @@ TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
 
     for (simd::Backend b : supported_backends()) {
       BackendGuard guard(b);
-      for (std::size_t jobs : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-        config.jobs = jobs;
-        const SimResult got = simulate(instance, appro, config);
-        SCOPED_TRACE(std::string(policy_name(policy)) + " jobs=" +
-                     std::to_string(jobs) + " backend=" +
-                     simd::backend_name(b));
-        expect_results_identical(reference, got);
-      }
+      const SimResult got = simulate(instance, appro, config);
+      SCOPED_TRACE(std::string(policy_name(policy)) + " backend=" +
+                   simd::backend_name(b));
+      expect_results_identical(reference, got);
     }
   }
 }

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/rng.h"
@@ -244,6 +246,73 @@ TEST(CliFlags, ExplicitBoolValues) {
   EXPECT_FALSE(flags.get_bool("a", true));
   EXPECT_TRUE(flags.get_bool("b", false));
   EXPECT_TRUE(flags.get_bool("c", false));
+}
+
+const std::vector<FlagSpec> kBenchFlags = {{"instances", FlagKind::kCount},
+                                           {"jobs", FlagKind::kCount},
+                                           {"months", FlagKind::kNumber},
+                                           {"csv", FlagKind::kText}};
+
+std::string check_args(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return CliFlags(static_cast<int>(args.size()), args.data())
+      .check(kBenchFlags);
+}
+
+TEST(CliFlags, CheckAcceptsValidFlagsAndKeepsTheirValues) {
+  EXPECT_EQ(check_args({}), "");
+  const char* argv[] = {"prog", "--instances=100", "--jobs=0",
+                        "--months=0.25", "--csv=out/fig3"};
+  const CliFlags flags(5, argv);
+  EXPECT_EQ(flags.check(kBenchFlags), "");
+  EXPECT_EQ(flags.get_int("instances", 10), 100);
+  EXPECT_EQ(flags.get_int("jobs", 4), 0);
+  EXPECT_EQ(flags.get_double("months", 12.0), 0.25);
+  EXPECT_EQ(flags.get("csv", ""), "out/fig3");
+  EXPECT_EQ(check_args({"--months=1e-1"}), "");
+}
+
+TEST(CliFlags, CheckRejectsUnknownAndRemovedFlags) {
+  // A typo of --instances, and flags no bench accepts any more.
+  EXPECT_EQ(check_args({"--instance=100"}), "unknown flag --instance");
+  EXPECT_EQ(check_args({"--jobs=2", "--shard=0/4", "--chunk=x"}),
+            "unknown flag --chunk");
+  EXPECT_NE(check_args({"--plan-jobs=4"}).find("--plan-jobs"),
+            std::string::npos);
+}
+
+TEST(CliFlags, CheckRejectsValuesThatAreNotEntirelyNumeric) {
+  for (const char* arg : {"--instances=ten", "--instances=", "--instances",
+                          "--instances=10x", "--instances= 10",
+                          "--instances=+10", "--instances=1.5"}) {
+    const std::string error = check_args({arg});
+    EXPECT_NE(error.find("--instances"), std::string::npos) << arg;
+    EXPECT_NE(error.find("non-negative integer"), std::string::npos) << arg;
+  }
+  // atoll would turn these into SIZE_MAX and an overflowed count.
+  EXPECT_NE(check_args({"--jobs=-1"}), "");
+  EXPECT_NE(check_args({"--jobs=99999999999999999999"}), "");
+  for (const char* arg : {"--months=1.5x", "--months=", "--months=inf",
+                          "--months=nan", "--months=1e999", "--months= 1"}) {
+    const std::string error = check_args({arg});
+    EXPECT_NE(error.find("--months"), std::string::npos) << arg;
+    EXPECT_NE(error.find("finite number"), std::string::npos) << arg;
+  }
+}
+
+TEST(CliFlags, CheckRejectsPositionalArguments) {
+  // A missing "--" would otherwise drop the setting silently.
+  EXPECT_NE(check_args({"instances=100"}).find("instances=100"),
+            std::string::npos);
+}
+
+TEST(CliFlagsDeathTest, RequireValidExitsWithCodeTwoNamingTheFlag) {
+  const char* argv[] = {"prog", "--jobs=-1"};
+  const CliFlags flags(2, argv);
+  EXPECT_EXIT(flags.require_valid(kBenchFlags), ::testing::ExitedWithCode(2),
+              "--jobs=-1");
+  const char* ok[] = {"prog", "--jobs=3"};
+  CliFlags(2, ok).require_valid(kBenchFlags);  // returns normally
 }
 
 }  // namespace
