@@ -9,6 +9,7 @@
 
 #include "assignment/hungarian.h"
 #include "cluster/kmeans.h"
+#include "baselines/kminmax.h"
 #include "core/appro.h"
 #include "core/bounds.h"
 #include "core/exact.h"
@@ -18,7 +19,6 @@
 #include "geometry/field.h"
 #include "graph/mis.h"
 #include "graph/mst.h"
-#include "graph/unit_disk.h"
 #include "matching/blossom.h"
 #include "matching/matching.h"
 #include "model/charging_problem.h"
@@ -59,23 +59,48 @@ tsp::TourProblem make_tour_problem(std::size_t m, std::uint64_t seed) {
   return p;
 }
 
+/// A ChargingProblem over `pts` with zero deficits: enough to build its
+/// coverage lists and the charging graph G_c (radius 2.7 m).
+model::ChargingProblem disk_problem(std::vector<geom::Point> pts) {
+  const std::size_t n = pts.size();
+  return model::ChargingProblem(std::move(pts), std::vector<double>(n, 0.0),
+                                {50.0, 50.0}, 2.7, 1.0, 1);
+}
+
 void BM_UnitDiskGraph(benchmark::State& state) {
+  // G_c from raw points: the coverage lists (ChargingProblem) plus the
+  // graph read off them (core::charging_graph).
   Rng rng(1);
   const auto pts =
       geom::uniform_field(static_cast<std::size_t>(state.range(0)), 100.0,
                           100.0, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::unit_disk_graph(pts, 2.7));
+    benchmark::DoNotOptimize(core::charging_graph(disk_problem(pts)));
   }
 }
 BENCHMARK(BM_UnitDiskGraph)->Arg(200)->Arg(600)->Arg(1200);
 
+void BM_ChargingProblemCoverage(benchmark::State& state) {
+  // Coverage lists N_c+(v) for a batch of range(0) sensors drawn from a
+  // 1000-sensor field: a direct pair loop up to
+  // ChargingProblem::kDirectCoverageLimit, a GridIndex above it. Sizes
+  // either side of the cutoff show what it saves.
+  Rng rng(5);
+  const auto field = geom::uniform_field(1000, 100.0, 100.0, rng);
+  const std::vector<geom::Point> pts(
+      field.begin(), field.begin() + static_cast<std::ptrdiff_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(disk_problem(pts));
+  }
+}
+BENCHMARK(BM_ChargingProblemCoverage)
+    ->Arg(4)->Arg(16)->Arg(32)->Arg(33)->Arg(64)->Arg(256);
+
 void BM_MaximalIndependentSet(benchmark::State& state) {
   Rng rng(2);
-  const auto pts =
-      geom::uniform_field(static_cast<std::size_t>(state.range(0)), 100.0,
-                          100.0, rng);
-  const auto g = graph::unit_disk_graph(pts, 2.7);
+  const auto problem = disk_problem(geom::uniform_field(
+      static_cast<std::size_t>(state.range(0)), 100.0, 100.0, rng));
+  const auto g = core::charging_graph(problem);
   for (auto _ : state) {
     benchmark::DoNotOptimize(graph::maximal_independent_set(g));
   }
@@ -360,6 +385,40 @@ void BM_ApproPlan(benchmark::State& state) {
 BENCHMARK(BM_ApproPlan)->Arg(200)->Arg(600)->Arg(1200)
     ->Unit(benchmark::kMillisecond);
 
+void BM_PlanSmallBatch(benchmark::State& state) {
+  // The simulator's common case: a round of range(0) = 1..16 sensors drawn
+  // from a 1000-sensor field, planned by Appro (range(1) == 0) or
+  // K-minMax (range(1) == 1) with K = 2. Cycles through 64 different
+  // batches so the time is a typical round's, not one lucky layout's.
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  const auto field = geom::uniform_field(1000, 100.0, 100.0, rng);
+  std::vector<model::ChargingProblem> rounds;
+  for (int r = 0; r < 64; ++r) {
+    std::vector<geom::Point> pts;
+    std::vector<double> deficits;
+    for (std::size_t i = 0; i < batch; ++i) {
+      pts.push_back(field[rng.below(field.size())]);
+      deficits.push_back(rng.uniform(3456.0, 5400.0));
+    }
+    rounds.emplace_back(std::move(pts), std::move(deficits),
+                        geom::Point{50.0, 50.0}, 2.7, 1.0, 2);
+  }
+  const core::ApproScheduler appro;
+  const baselines::KMinMaxScheduler kminmax;
+  const sched::Scheduler& scheduler =
+      state.range(1) == 0 ? static_cast<const sched::Scheduler&>(appro)
+                          : kminmax;
+  std::size_t r = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scheduler.plan(rounds[r]));
+    r = (r + 1) % rounds.size();
+  }
+  state.SetLabel(scheduler.name());
+}
+BENCHMARK(BM_PlanSmallBatch)
+    ->ArgsProduct({{1, 2, 4, 16}, {0, 1}});
+
 void BM_ApproInsertion(benchmark::State& state) {
   // The step-6 insertion phase in isolation: range(1) == 0 runs the
   // incremental path (cached f_N, dirty-set invalidation, suffix-only
@@ -500,8 +559,8 @@ BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)
 
 void BM_Simulate(benchmark::State& state) {
   // One month of simulated time under Appro at n sensors. Exercises the
-  // SoA drain scans (simd::crossing_min / simd::advance_select_below)
-  // plus the per-round scheduling.
+  // SoA drain scan (simd::advance_select_below, which also yields the
+  // next threshold crossing) plus the per-round scheduling.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(23);
   model::NetworkConfig config;

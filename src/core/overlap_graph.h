@@ -16,13 +16,15 @@
 
 namespace mcharge::core {
 
-/// G_c over all sensors of the problem.
+/// G_c over all sensors of the problem, read off the coverage lists
+/// N_c+(v) the problem already holds (no spatial index is built).
 graph::Graph charging_graph(const model::ChargingProblem& problem);
 
 /// H over `subset` (sensor ids of the problem). Vertex i of the result
-/// corresponds to subset[i]. Candidate pairs are found with a grid index
-/// over the subset (within 2*gamma), then confirmed with the exact
-/// coverage-intersection predicate.
+/// corresponds to subset[i]. Two members are joined iff their coverage
+/// lists share a sensor (ChargingProblem::overlapping) and they lie within
+/// 2*gamma of each other; pairs are enumerated per shared sensor, so the
+/// cost is the total coverage size of the subset, not a grid build.
 graph::Graph overlap_graph(const model::ChargingProblem& problem,
                            const std::vector<std::uint32_t>& subset);
 

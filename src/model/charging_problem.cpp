@@ -26,14 +26,31 @@ ChargingProblem::ChargingProblem(std::vector<geom::Point> positions,
     MCHARGE_ASSERT(t >= 0.0, "charging durations must be >= 0");
   }
 
-  coverage_.resize(positions_.size());
-  tau_.resize(positions_.size());
-  if (positions_.empty()) return;
-  const double cell = gamma_ > 0.0 ? gamma_ : 1.0;
-  geom::GridIndex index(positions_, cell);
-  for (std::uint32_t v = 0; v < positions_.size(); ++v) {
-    coverage_[v] = index.query_disk(positions_[v], gamma_);
-    // query_disk includes v itself (distance 0); results come sorted.
+  const std::size_t n = positions_.size();
+  coverage_.resize(n);
+  tau_.resize(n);
+  if (n == 0) return;
+  if (n <= kDirectCoverageLimit) {
+    // All pairs with the grid's own test, distance_sq <= gamma^2 (the
+    // SIMD disk filter evaluates exactly that); ascending u keeps every
+    // list sorted, and v itself is always in (distance 0).
+    const double r2 = gamma_ * gamma_;
+    for (std::uint32_t v = 0; v < n; ++v) {
+      for (std::uint32_t u = 0; u < n; ++u) {
+        if (geom::distance_sq(positions_[u], positions_[v]) <= r2) {
+          coverage_[v].push_back(u);
+        }
+      }
+    }
+  } else {
+    const double cell = gamma_ > 0.0 ? gamma_ : 1.0;
+    const geom::GridIndex index(positions_, cell);
+    for (std::uint32_t v = 0; v < n; ++v) {
+      // query_disk includes v itself (distance 0); results come sorted.
+      coverage_[v] = index.query_disk(positions_[v], gamma_);
+    }
+  }
+  for (std::uint32_t v = 0; v < n; ++v) {
     double worst = 0.0;
     for (std::uint32_t u : coverage_[v]) {
       worst = std::max(worst, charge_seconds_[u]);

@@ -17,6 +17,14 @@ namespace mcharge::model {
 
 class ChargingProblem {
  public:
+  /// Batches of at most this many sensors get their coverage lists from a
+  /// direct all-pairs loop; larger ones from a GridIndex. Both apply the
+  /// same distance_sq <= gamma^2 test and yield the same sorted lists; the
+  /// cutoff only saves the grid's bucket build on the small batches that
+  /// dominate the simulator's rounds. The two break even near 40 sensors
+  /// (EXPERIMENTS.md); BM_ChargingProblemCoverage times both sides.
+  static constexpr std::size_t kDirectCoverageLimit = 32;
+
   /// An empty problem (no sensors, one MCV, zero radius). Useful as a
   /// placeholder to assign a real problem into.
   ChargingProblem() = default;

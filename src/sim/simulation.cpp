@@ -26,9 +26,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// under floating-point rounding of the lazy level update.
 constexpr double kCrossingEps = 1e-6;
 
-/// Per-sensor dynamic state in SoA layout, so the two per-round scans
-/// (earliest crossing, advance + batch collection) run through the
-/// simd::crossing_min / simd::advance_select_below kernels. Levels are
+/// Per-sensor dynamic state in SoA layout, so the per-round scan (advance,
+/// batch collection and next crossing) runs through the
+/// simd::advance_select_below kernel. Levels are
 /// tracked lazily: level[v] is the battery level at time as_of[v]; the
 /// linear draw makes any later level a closed-form expression.
 /// dead_since[v] is the instant the battery hit zero (inf while alive).
@@ -143,10 +143,29 @@ SimResult simulate(const model::WrsnInstance& instance,
     state.as_of[v] = t;
   };
 
+  // Request-threshold crossing of sensor v's lazy state ("now" for a
+  // sensor already below); the scalar twin of the per-element crossing
+  // simd::advance_select_below reports, with the same operations.
+  auto crossing_of = [&](std::size_t v) {
+    if (state.level[v] < threshold_j) return state.as_of[v];
+    if (draw[v] <= 0.0) return kInf;
+    return state.as_of[v] + (state.level[v] - threshold_j) / draw[v] +
+           kCrossingEps;
+  };
+
   double fleet_ready = 0.0;
   double busy_seconds = 0.0;
   // Time each sensor's pending request was raised (kInf = not pending).
   std::vector<double> pending_since(n, kInf);
+
+  // Earliest threshold crossing over all sensors, carried from round to
+  // round: advance_select_below reports it over the sensors it leaves
+  // above the threshold, and after the charge completions the batch
+  // members — the only sensors a round changes — are folded in. A death
+  // lifts a sensor's crossing to +inf, which a carried min cannot undo,
+  // so the first round and every round with a death rescan all sensors.
+  double next_crossing = kInf;
+  bool rescan = true;
 
   while (true) {
     // Permanent sensor deaths, drawn per (round, sensor) at the moment the
@@ -170,19 +189,22 @@ SimResult simulate(const model::WrsnInstance& instance,
         state.level[v] = capacity;
         state.as_of[v] = t_now;
         pending_since[v] = kInf;
+        rescan = true;
       }
     }
 
-    // Next request among all sensors: per-sensor threshold crossings (now
-    // for already-below sensors), min-reduced over the whole index range.
     OBS_SPAN("sim.round");
-    double first_request = kInf;
-    {
+    if (rescan) {
       OBS_SPAN("sim.crossing_scan");
-      first_request =
-          simd::crossing_min(state.level.data(), state.as_of.data(), draw, n,
-                             threshold_j, kCrossingEps);
+      next_crossing = kInf;
+      for (std::size_t v = 0; v < n; ++v) {
+        const double c = crossing_of(v);
+        if (c < next_crossing) next_crossing = c;
+      }
+      rescan = false;
     }
+    // Next request among all sensors.
+    const double first_request = next_crossing;
     if (first_request >= horizon) break;
     if (result.rounds >= config.max_rounds) {
       // Work remains but the round budget is exhausted: the aggregates
@@ -213,11 +235,14 @@ SimResult simulate(const model::WrsnInstance& instance,
     std::vector<std::uint32_t> batch;
     {
       OBS_SPAN("sim.select_scan");
-      const std::size_t got = simd::advance_select_below(
+      const simd::BelowSelection selected = simd::advance_select_below(
           state.level.data(), state.as_of.data(), state.dead_since.data(),
-          draw, n, dispatch, threshold_j, ids.data(), select_scratch.data());
+          draw, n, dispatch, threshold_j, kCrossingEps, ids.data(),
+          select_scratch.data());
       batch.assign(select_scratch.begin(),
-                   select_scratch.begin() + static_cast<std::ptrdiff_t>(got));
+                   select_scratch.begin() +
+                       static_cast<std::ptrdiff_t>(selected.count));
+      next_crossing = selected.next_crossing;
     }
     MCHARGE_ASSERT(!batch.empty(), "dispatch with an empty request set");
 
@@ -390,6 +415,10 @@ SimResult simulate(const model::WrsnInstance& instance,
       }
     }
     result.sensors_charged += charged_count;
+    for (std::uint32_t v : batch) {
+      const double c = crossing_of(v);
+      if (c < next_crossing) next_crossing = c;
+    }
     if (config.record_rounds) {
       round_log.dispatch_time = dispatch;
       round_log.batch = batch.size();

@@ -186,7 +186,9 @@ double two_opt_impl(const TourProblem& problem, Tour& tour,
                     const ImproveOptions& options, bool* converged) {
   if (converged) *converged = true;
   const std::size_t m = tour.size();
-  if (m < 2) return 0.0;
+  // With m == 2 the only move is the full reversal, which changes nothing
+  // and is skipped below; return before building the mirror.
+  if (m < 3) return 0.0;
   detail::TourMirror mirror;
   mirror.assign(problem, tour);
   const std::vector<double>& px = mirror.px;

@@ -11,18 +11,16 @@ namespace mcharge::tsp {
 
 namespace {
 
-/// Greedily cuts `tour` into segments of delay <= budget. Returns the
-/// segments, or an empty optional-equivalent (ok=false) if some single
-/// site alone exceeds the budget.
-struct GreedyCut {
-  bool ok = false;
-  std::vector<Tour> segments;
-};
-
-GreedyCut greedy_cut(const TourProblem& p, const Tour& tour, double budget,
-                     const SegmentEnergyCap& cap) {
-  GreedyCut result;
-  Tour current;
+/// Greedily cuts `tour` into segments of delay <= budget, writing the
+/// tour index at which each segment starts into `starts` (a buffer the
+/// caller reuses across probes, so a probe allocates nothing once it has
+/// grown). Returns true iff every site fits the budget on its own and the
+/// cut uses at most `k` segments; stops at the first site that settles
+/// the answer as false.
+bool greedy_cut(const TourProblem& p, const Tour& tour, double budget,
+                const SegmentEnergyCap& cap, std::size_t k,
+                std::vector<std::size_t>& starts) {
+  starts.clear();
   double internal = 0.0;  // travel within segment + service
   // Energy bookkeeping (cap only): internal travel / service seconds,
   // tracked separately so joules can be priced per component. The delay
@@ -33,16 +31,20 @@ GreedyCut greedy_cut(const TourProblem& p, const Tour& tour, double budget,
   for (std::size_t i = 0; i < tour.size(); ++i) {
     const SiteId v = tour[i];
     const double solo = 2.0 * p.travel_depot(v) + p.service[v];
-    if (solo > budget) return result;  // infeasible budget
-    if (current.empty()) {
-      current.push_back(v);
+    if (solo > budget) return false;  // infeasible budget
+    if (i == 0) {
+      starts.push_back(0);
       internal = p.service[v];
       etravel = 0.0;
       eservice = p.service[v];
       continue;
     }
-    const double extended = p.travel_depot(current.front()) + internal +
-                            p.travel(current.back(), v) + p.service[v] +
+    // Segments are contiguous runs of the tour: the open one starts at
+    // tour[starts.back()] and ends at tour[i - 1].
+    const SiteId front = tour[starts.back()];
+    const SiteId back = tour[i - 1];
+    const double extended = p.travel_depot(front) + internal +
+                            p.travel(back, v) + p.service[v] +
                             p.travel_depot(v);
     bool fits = extended <= budget;
     if (fits && cap.enabled()) {
@@ -50,28 +52,25 @@ GreedyCut greedy_cut(const TourProblem& p, const Tour& tour, double budget,
       // (the executor's budget machinery handles the overdraw); only
       // *extending* past the cap forces a cut.
       const double joules =
-          (p.travel_depot(current.front()) + etravel +
-           p.travel(current.back(), v) + p.travel_depot(v)) *
+          (p.travel_depot(front) + etravel + p.travel(back, v) +
+           p.travel_depot(v)) *
               cap.travel_power_w +
           (eservice + p.service[v]) * cap.service_power_w;
       fits = joules <= cap.budget_j;
     }
     if (fits) {
-      internal += p.travel(current.back(), v) + p.service[v];
-      etravel += p.travel(current.back(), v);
+      internal += p.travel(back, v) + p.service[v];
+      etravel += p.travel(back, v);
       eservice += p.service[v];
-      current.push_back(v);
     } else {
-      result.segments.push_back(std::move(current));
-      current = {v};
+      if (starts.size() == k) return false;  // would need k + 1 segments
+      starts.push_back(i);
       internal = p.service[v];
       etravel = 0.0;
       eservice = p.service[v];
     }
   }
-  if (!current.empty()) result.segments.push_back(std::move(current));
-  result.ok = true;
-  return result;
+  return true;
 }
 
 double max_segment_delay(const TourProblem& p, const std::vector<Tour>& segs) {
@@ -110,32 +109,36 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   hi += 1e-9 * std::max(1.0, hi);
 
   SegmentEnergyCap use = cap;
-  GreedyCut best = greedy_cut(problem, tour, hi, use);
-  if (use.enabled() && best.ok && best.segments.size() > k) {
+  std::vector<std::size_t> best;   // segment starts of the winning cut
+  std::vector<std::size_t> probe;  // scratch for the budget probes
+  bool feasible = greedy_cut(problem, tour, hi, use, k, best);
+  if (use.enabled() && !feasible) {
     // The energy cap and the fleet size cannot both hold even at the
     // loosest delay budget: drop the cap (best effort — the executor's
     // budget machinery turns any residual overdraw into a recoverable,
     // cause-tagged abort) and redo the feasibility anchor.
     use = SegmentEnergyCap{};
-    best = greedy_cut(problem, tour, hi, use);
+    feasible = greedy_cut(problem, tour, hi, use, k, best);
   }
-  MCHARGE_ASSERT(best.ok && best.segments.size() <= std::max<std::size_t>(k, 1),
-                 "whole-tour budget must be feasible");
+  MCHARGE_ASSERT(feasible, "whole-tour budget must be feasible");
 
   // Binary search the smallest budget whose greedy cut uses <= k segments.
   for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    GreedyCut cut = greedy_cut(problem, tour, mid, use);
-    if (cut.ok && cut.segments.size() <= k) {
-      best = std::move(cut);
+    if (greedy_cut(problem, tour, mid, use, k, probe)) {
+      std::swap(best, probe);
       hi = mid;
     } else {
       lo = mid;
     }
   }
 
-  result.tours = std::move(best.segments);
-  result.tours.resize(k);  // pad with empty tours
+  result.tours.resize(k);  // trailing tours stay empty
+  for (std::size_t s = 0; s < best.size(); ++s) {
+    const std::size_t end = s + 1 < best.size() ? best[s + 1] : tour.size();
+    result.tours[s].assign(tour.begin() + static_cast<std::ptrdiff_t>(best[s]),
+                           tour.begin() + static_cast<std::ptrdiff_t>(end));
+  }
   result.max_delay = max_segment_delay(problem, result.tours);
   return result;
 }

@@ -112,31 +112,14 @@ std::size_t scalar_or_opt_scan(const double* px, const double* py,
   return kNpos;
 }
 
-double scalar_crossing_min(const double* level, const double* as_of,
-                           const double* draw, std::size_t n,
-                           double threshold, double eps) {
-  double best = kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    double c;
-    if (level[i] < threshold) {
-      c = as_of[i];
-    } else if (draw[i] <= 0.0) {
-      c = kInf;
-    } else {
-      c = as_of[i] + (level[i] - threshold) / draw[i] + eps;
-    }
-    if (c < best) best = c;
-  }
-  return best;
-}
-
-std::size_t scalar_advance_select_below(double* level, double* as_of,
-                                        double* dead_since,
-                                        const double* draw, std::size_t n,
-                                        double t, double threshold,
-                                        const std::uint32_t* ids,
-                                        std::uint32_t* out) {
-  std::size_t count = 0;
+BelowSelection scalar_advance_select_below(double* level, double* as_of,
+                                           double* dead_since,
+                                           const double* draw, std::size_t n,
+                                           double t, double threshold,
+                                           double eps,
+                                           const std::uint32_t* ids,
+                                           std::uint32_t* out) {
+  BelowSelection r;
   for (std::size_t i = 0; i < n; ++i) {
     if (t > as_of[i]) {
       const double drained = draw[i] * (t - as_of[i]);
@@ -150,9 +133,14 @@ std::size_t scalar_advance_select_below(double* level, double* as_of,
       }
       as_of[i] = t;
     }
-    if (level[i] < threshold) out[count++] = ids[i];
+    if (level[i] < threshold) {
+      out[r.count++] = ids[i];
+    } else if (draw[i] > 0.0) {
+      const double c = as_of[i] + (level[i] - threshold) / draw[i] + eps;
+      if (c < r.next_crossing) r.next_crossing = c;
+    }
   }
-  return count;
+  return r;
 }
 
 std::int64_t scalar_i64_min_where(const std::int64_t* lab,
@@ -297,8 +285,7 @@ namespace detail {
 const KernelTable kScalarKernels = {
     scalar_distance_row,  scalar_argmin_masked, scalar_argmin_distance_masked,
     scalar_min_reduce,    scalar_max_reduce,    scalar_two_opt_scan,
-    scalar_or_opt_scan,   scalar_select_within, scalar_crossing_min,
-    scalar_advance_select_below,
+    scalar_or_opt_scan,   scalar_select_within, scalar_advance_select_below,
     scalar_i64_min_where, scalar_i64_dual_apply, scalar_i64_slack_bound,
     scalar_i64_slack_shift, scalar_price_scan,
 };
@@ -389,21 +376,13 @@ std::size_t select_within(const double* xs, const double* ys, std::size_t n,
   return dispatch().table->select_within(xs, ys, n, cx, cy, r2, ids, out);
 }
 
-double crossing_min(const double* level, const double* as_of,
-                    const double* draw, std::size_t n, double threshold,
-                    double eps) {
-  return dispatch().table->crossing_min(level, as_of, draw, n, threshold,
-                                        eps);
-}
-
-std::size_t advance_select_below(double* level, double* as_of,
-                                 double* dead_since, const double* draw,
-                                 std::size_t n, double t, double threshold,
-                                 const std::uint32_t* ids,
-                                 std::uint32_t* out) {
-  return dispatch().table->advance_select_below(level, as_of, dead_since,
-                                                draw, n, t, threshold, ids,
-                                                out);
+BelowSelection advance_select_below(double* level, double* as_of,
+                                    double* dead_since, const double* draw,
+                                    std::size_t n, double t, double threshold,
+                                    double eps, const std::uint32_t* ids,
+                                    std::uint32_t* out) {
+  return dispatch().table->advance_select_below(
+      level, as_of, dead_since, draw, n, t, threshold, eps, ids, out);
 }
 
 std::int64_t i64_min_where(const std::int64_t* lab, const std::int32_t* state,

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace mcharge::simd {
 
@@ -118,33 +119,34 @@ std::size_t select_within(const double* xs, const double* ys, std::size_t n,
                           double cx, double cy, double r2,
                           const std::uint32_t* ids, std::uint32_t* out);
 
-/// Simulator drain kernels (sim::simulate's SoA per-sensor state). Both
-/// follow the same bitwise-identity contract as the geometry kernels:
-/// per-element IEEE-754 operation sequences identical to the scalar
-/// reference, reductions that are order-independent for non-NaN input.
+/// Simulator drain kernel (sim::simulate's SoA per-sensor state). Same
+/// bitwise-identity contract as the geometry kernels: per-element
+/// IEEE-754 operation sequences identical to the scalar reference, a min
+/// reduction that is order-independent for non-NaN input.
 
-/// Earliest request-threshold crossing over the lazy drain states
-/// (level[i] at time as_of[i], draining at draw[i] W): per element
-///   level[i] <  threshold -> as_of[i]            (already below)
-///   draw[i]  <= 0         -> +inf                (never crosses)
-///   otherwise             -> as_of[i] + (level[i] - threshold) / draw[i]
-///                            + eps
-/// and the minimum over the range (inf for n == 0). eps is the caller's
-/// strictly-past-the-threshold nudge.
-double crossing_min(const double* level, const double* as_of,
-                    const double* draw, std::size_t n, double threshold,
-                    double eps);
+/// What advance_select_below found.
+struct BelowSelection {
+  std::size_t count = 0;  ///< ids written to out
+  /// Earliest request-threshold crossing over the elements NOT selected,
+  /// from their post-advance state (level[i] >= threshold):
+  ///   draw[i] <= 0 -> +inf (never crosses)
+  ///   otherwise    -> as_of[i] + (level[i] - threshold) / draw[i] + eps
+  /// (two separate adds, no FMA); +inf if every element was selected or
+  /// n == 0. eps is the caller's strictly-past-the-threshold nudge.
+  double next_crossing = std::numeric_limits<double>::infinity();
+};
 
-/// Advances every lazy drain state to time t (elements with as_of[i] >= t
-/// are untouched), recording first-death instants into dead_since
-/// (as_of + level/draw, only where dead_since was +inf), then appends
-/// ids[i] to out for every element with level[i] < threshold after the
-/// advance, preserving order. Returns the number of ids written; out must
-/// have room for n entries.
-std::size_t advance_select_below(double* level, double* as_of,
-                                 double* dead_since, const double* draw,
-                                 std::size_t n, double t, double threshold,
-                                 const std::uint32_t* ids, std::uint32_t* out);
+/// Advances every lazy drain state (level[i] at time as_of[i], draining
+/// at draw[i] W) to time t (elements with as_of[i] >= t are untouched),
+/// recording first-death instants into dead_since (as_of + level/draw,
+/// only where dead_since was +inf), then appends ids[i] to out for every
+/// element with level[i] < threshold after the advance, preserving
+/// order. out must have room for n entries.
+BelowSelection advance_select_below(double* level, double* as_of,
+                                    double* dead_since, const double* draw,
+                                    std::size_t n, double t, double threshold,
+                                    double eps, const std::uint32_t* ids,
+                                    std::uint32_t* out);
 
 /// Blossom dual-adjustment kernels (matching/blossom_core.h). All-integer:
 /// every backend is trivially bitwise identical to the scalar loops, and

@@ -298,14 +298,18 @@ std::size_t avx2_select_within(const double* xs, const double* ys,
   return count;
 }
 
-double avx2_crossing_min(const double* level, const double* as_of,
-                         const double* draw, std::size_t n, double threshold,
-                         double eps) {
-  double best = kInf;
+BelowSelection avx2_advance_select_below(double* level, double* as_of,
+                                         double* dead_since,
+                                         const double* draw, std::size_t n,
+                                         double t, double threshold,
+                                         double eps, const std::uint32_t* ids,
+                                         std::uint32_t* out) {
+  BelowSelection r;
   std::size_t i = 0;
   if (n >= 4) {
     const __m256d inf = _mm256_set1_pd(kInf);
     const __m256d zero = _mm256_setzero_pd();
+    const __m256d vt = _mm256_set1_pd(t);
     const __m256d vthr = _mm256_set1_pd(threshold);
     const __m256d veps = _mm256_set1_pd(eps);
     __m256d acc = inf;
@@ -313,82 +317,52 @@ double avx2_crossing_min(const double* level, const double* as_of,
       const __m256d lvl = _mm256_loadu_pd(level + i);
       const __m256d at = _mm256_loadu_pd(as_of + i);
       const __m256d drw = _mm256_loadu_pd(draw + i);
-      // as_of + (level - threshold) / draw + eps, with the scalar's
-      // operation order (two separate adds, no FMA).
-      const __m256d c0 = _mm256_add_pd(
-          _mm256_add_pd(at, _mm256_div_pd(_mm256_sub_pd(lvl, vthr), drw)),
+      const __m256d adv = _mm256_cmp_pd(vt, at, _CMP_GT_OQ);
+      const __m256d drained = _mm256_mul_pd(drw, _mm256_sub_pd(vt, at));
+      const __m256d positive = _mm256_cmp_pd(drw, zero, _CMP_GT_OQ);
+      // Death: the drain empties the battery on an advancing lane with a
+      // positive draw.
+      const __m256d dead = _mm256_and_pd(
+          _mm256_and_pd(_mm256_cmp_pd(drained, lvl, _CMP_GE_OQ), positive),
+          adv);
+      if (_mm256_movemask_pd(dead) != 0) {
+        // Rare: divide only when some lane dies; the quotient of the
+        // other lanes is blended away.
+        const __m256d dsi = _mm256_loadu_pd(dead_since + i);
+        const __m256d newly =
+            _mm256_and_pd(dead, _mm256_cmp_pd(dsi, inf, _CMP_EQ_OQ));
+        const __m256d death_t = _mm256_add_pd(at, _mm256_div_pd(lvl, drw));
+        _mm256_storeu_pd(dead_since + i,
+                         _mm256_blendv_pd(dsi, death_t, newly));
+      }
+      __m256d new_lvl = _mm256_blendv_pd(_mm256_sub_pd(lvl, drained), zero,
+                                         dead);
+      new_lvl = _mm256_blendv_pd(lvl, new_lvl, adv);
+      const __m256d new_at = _mm256_blendv_pd(at, vt, adv);
+      _mm256_storeu_pd(level + i, new_lvl);
+      _mm256_storeu_pd(as_of + i, new_at);
+      const __m256d below = _mm256_cmp_pd(new_lvl, vthr, _CMP_LT_OQ);
+      // Next crossing of the lanes left above the threshold, with the
+      // scalar's operation order (two separate adds, no FMA). Selected
+      // and zero-draw lanes are blended to +inf before the min, so no
+      // quotient of theirs (0/0 included) reaches the accumulator.
+      const __m256d c = _mm256_add_pd(
+          _mm256_add_pd(new_at,
+                        _mm256_div_pd(_mm256_sub_pd(new_lvl, vthr), drw)),
           veps);
-      // draw <= 0 lanes never cross; level < threshold lanes cross "now".
-      // Both blends run before the min so no NaN (0/0 above) survives.
-      const __m256d nodraw = _mm256_cmp_pd(drw, zero, _CMP_LE_OQ);
-      const __m256d below = _mm256_cmp_pd(lvl, vthr, _CMP_LT_OQ);
-      __m256d c = _mm256_blendv_pd(c0, inf, nodraw);
-      c = _mm256_blendv_pd(c, at, below);
-      acc = _mm256_min_pd(acc, c);
+      const __m256d live = _mm256_andnot_pd(below, positive);
+      acc = _mm256_min_pd(_mm256_blendv_pd(inf, c, live), acc);
+      int mask = _mm256_movemask_pd(below);
+      while (mask != 0) {
+        const int lane = __builtin_ctz(mask);
+        out[r.count++] = ids[i + static_cast<std::size_t>(lane)];
+        mask &= mask - 1;
+      }
     }
     alignas(32) double lanes[4];
     _mm256_store_pd(lanes, acc);
     for (double v : lanes) {
-      if (v < best) best = v;
-    }
-  }
-  for (; i < n; ++i) {
-    double c;
-    if (level[i] < threshold) {
-      c = as_of[i];
-    } else if (draw[i] <= 0.0) {
-      c = kInf;
-    } else {
-      c = as_of[i] + (level[i] - threshold) / draw[i] + eps;
-    }
-    if (c < best) best = c;
-  }
-  return best;
-}
-
-std::size_t avx2_advance_select_below(double* level, double* as_of,
-                                      double* dead_since, const double* draw,
-                                      std::size_t n, double t,
-                                      double threshold,
-                                      const std::uint32_t* ids,
-                                      std::uint32_t* out) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  if (n >= 4) {
-    const __m256d inf = _mm256_set1_pd(kInf);
-    const __m256d zero = _mm256_setzero_pd();
-    const __m256d vt = _mm256_set1_pd(t);
-    const __m256d vthr = _mm256_set1_pd(threshold);
-    for (; i + 4 <= n; i += 4) {
-      const __m256d lvl = _mm256_loadu_pd(level + i);
-      const __m256d at = _mm256_loadu_pd(as_of + i);
-      const __m256d drw = _mm256_loadu_pd(draw + i);
-      const __m256d dsi = _mm256_loadu_pd(dead_since + i);
-      const __m256d adv = _mm256_cmp_pd(vt, at, _CMP_GT_OQ);
-      const __m256d drained = _mm256_mul_pd(drw, _mm256_sub_pd(vt, at));
-      // Death: the drain empties the battery on an advancing lane with a
-      // positive draw. Division garbage in non-dead lanes is blended away.
-      const __m256d dead = _mm256_and_pd(
-          _mm256_and_pd(_mm256_cmp_pd(drained, lvl, _CMP_GE_OQ),
-                        _mm256_cmp_pd(drw, zero, _CMP_GT_OQ)),
-          adv);
-      const __m256d newly =
-          _mm256_and_pd(dead, _mm256_cmp_pd(dsi, inf, _CMP_EQ_OQ));
-      const __m256d death_t = _mm256_add_pd(at, _mm256_div_pd(lvl, drw));
-      _mm256_storeu_pd(dead_since + i,
-                       _mm256_blendv_pd(dsi, death_t, newly));
-      __m256d new_lvl = _mm256_blendv_pd(_mm256_sub_pd(lvl, drained), zero,
-                                         dead);
-      new_lvl = _mm256_blendv_pd(lvl, new_lvl, adv);
-      _mm256_storeu_pd(level + i, new_lvl);
-      _mm256_storeu_pd(as_of + i, _mm256_blendv_pd(at, vt, adv));
-      int mask =
-          _mm256_movemask_pd(_mm256_cmp_pd(new_lvl, vthr, _CMP_LT_OQ));
-      while (mask != 0) {
-        const int lane = __builtin_ctz(mask);
-        out[count++] = ids[i + static_cast<std::size_t>(lane)];
-        mask &= mask - 1;
-      }
+      if (v < r.next_crossing) r.next_crossing = v;
     }
   }
   for (; i < n; ++i) {
@@ -404,9 +378,14 @@ std::size_t avx2_advance_select_below(double* level, double* as_of,
       }
       as_of[i] = t;
     }
-    if (level[i] < threshold) out[count++] = ids[i];
+    if (level[i] < threshold) {
+      out[r.count++] = ids[i];
+    } else if (draw[i] > 0.0) {
+      const double c = as_of[i] + (level[i] - threshold) / draw[i] + eps;
+      if (c < r.next_crossing) r.next_crossing = c;
+    }
   }
-  return count;
+  return r;
 }
 
 // --- Blossom dual-adjustment kernels (all-integer, trivially bitwise) ----
@@ -599,8 +578,7 @@ std::size_t avx2_price_scan(const double* xs, const double* ys, std::size_t n,
 const KernelTable kAvx2Kernels = {
     avx2_distance_row,  avx2_argmin_masked, avx2_argmin_distance_masked,
     avx2_min_reduce,    avx2_max_reduce,    avx2_two_opt_scan,
-    avx2_or_opt_scan,   avx2_select_within, avx2_crossing_min,
-    avx2_advance_select_below,
+    avx2_or_opt_scan,   avx2_select_within, avx2_advance_select_below,
     avx2_i64_min_where, avx2_i64_dual_apply, avx2_i64_slack_bound,
     avx2_i64_slack_shift, avx2_price_scan,
 };

@@ -283,14 +283,19 @@ std::size_t avx512_select_within(const double* xs, const double* ys,
   return count;
 }
 
-double avx512_crossing_min(const double* level, const double* as_of,
-                           const double* draw, std::size_t n,
-                           double threshold, double eps) {
-  double best = kInf;
+BelowSelection avx512_advance_select_below(double* level, double* as_of,
+                                           double* dead_since,
+                                           const double* draw, std::size_t n,
+                                           double t, double threshold,
+                                           double eps,
+                                           const std::uint32_t* ids,
+                                           std::uint32_t* out) {
+  BelowSelection r;
   std::size_t i = 0;
   if (n >= 8) {
     const __m512d inf = _mm512_set1_pd(kInf);
     const __m512d zero = _mm512_setzero_pd();
+    const __m512d vt = _mm512_set1_pd(t);
     const __m512d vthr = _mm512_set1_pd(threshold);
     const __m512d veps = _mm512_set1_pd(eps);
     __m512d acc = inf;
@@ -298,76 +303,45 @@ double avx512_crossing_min(const double* level, const double* as_of,
       const __m512d lvl = _mm512_loadu_pd(level + i);
       const __m512d at = _mm512_loadu_pd(as_of + i);
       const __m512d drw = _mm512_loadu_pd(draw + i);
-      // as_of + (level - threshold) / draw + eps, with the scalar's
-      // operation order (two separate adds, no FMA).
-      const __m512d c0 = _mm512_add_pd(
-          _mm512_add_pd(at, _mm512_div_pd(_mm512_sub_pd(lvl, vthr), drw)),
-          veps);
-      // draw <= 0 lanes never cross; level < threshold lanes cross "now".
-      // Both blends run before the min so no NaN (0/0 above) survives.
-      const __mmask8 nodraw = _mm512_cmp_pd_mask(drw, zero, _CMP_LE_OQ);
-      const __mmask8 below = _mm512_cmp_pd_mask(lvl, vthr, _CMP_LT_OQ);
-      __m512d c = _mm512_mask_blend_pd(nodraw, c0, inf);
-      c = _mm512_mask_blend_pd(below, c, at);
-      acc = _mm512_min_pd(acc, c);
-    }
-    best = _mm512_reduce_min_pd(acc);
-  }
-  for (; i < n; ++i) {
-    double c;
-    if (level[i] < threshold) {
-      c = as_of[i];
-    } else if (draw[i] <= 0.0) {
-      c = kInf;
-    } else {
-      c = as_of[i] + (level[i] - threshold) / draw[i] + eps;
-    }
-    if (c < best) best = c;
-  }
-  return best;
-}
-
-std::size_t avx512_advance_select_below(double* level, double* as_of,
-                                        double* dead_since,
-                                        const double* draw, std::size_t n,
-                                        double t, double threshold,
-                                        const std::uint32_t* ids,
-                                        std::uint32_t* out) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  if (n >= 8) {
-    const __m512d inf = _mm512_set1_pd(kInf);
-    const __m512d zero = _mm512_setzero_pd();
-    const __m512d vt = _mm512_set1_pd(t);
-    const __m512d vthr = _mm512_set1_pd(threshold);
-    for (; i + 8 <= n; i += 8) {
-      const __m512d lvl = _mm512_loadu_pd(level + i);
-      const __m512d at = _mm512_loadu_pd(as_of + i);
-      const __m512d drw = _mm512_loadu_pd(draw + i);
-      const __m512d dsi = _mm512_loadu_pd(dead_since + i);
       const __mmask8 adv = _mm512_cmp_pd_mask(vt, at, _CMP_GT_OQ);
       const __m512d drained = _mm512_mul_pd(drw, _mm512_sub_pd(vt, at));
+      const __mmask8 positive = _mm512_cmp_pd_mask(drw, zero, _CMP_GT_OQ);
       // Death: the drain empties the battery on an advancing lane with a
-      // positive draw. Division garbage in non-dead lanes is blended away.
-      const __mmask8 dead = _mm512_cmp_pd_mask(drained, lvl, _CMP_GE_OQ) &
-                            _mm512_cmp_pd_mask(drw, zero, _CMP_GT_OQ) & adv;
-      const __mmask8 newly =
-          dead & _mm512_cmp_pd_mask(dsi, inf, _CMP_EQ_OQ);
-      const __m512d death_t = _mm512_add_pd(at, _mm512_div_pd(lvl, drw));
-      _mm512_storeu_pd(dead_since + i,
-                       _mm512_mask_blend_pd(newly, dsi, death_t));
+      // positive draw.
+      const __mmask8 dead =
+          _mm512_cmp_pd_mask(drained, lvl, _CMP_GE_OQ) & positive & adv;
+      if (dead != 0) {
+        // Rare: divide only when some lane dies.
+        const __m512d dsi = _mm512_loadu_pd(dead_since + i);
+        const __mmask8 newly =
+            dead & _mm512_cmp_pd_mask(dsi, inf, _CMP_EQ_OQ);
+        const __m512d death_t = _mm512_add_pd(at, _mm512_div_pd(lvl, drw));
+        _mm512_mask_storeu_pd(dead_since + i, newly, death_t);
+      }
       __m512d new_lvl =
           _mm512_mask_blend_pd(dead, _mm512_sub_pd(lvl, drained), zero);
       new_lvl = _mm512_mask_blend_pd(adv, lvl, new_lvl);
+      const __m512d new_at = _mm512_mask_blend_pd(adv, at, vt);
       _mm512_storeu_pd(level + i, new_lvl);
-      _mm512_storeu_pd(as_of + i, _mm512_mask_blend_pd(adv, at, vt));
-      unsigned mask = _mm512_cmp_pd_mask(new_lvl, vthr, _CMP_LT_OQ);
+      _mm512_storeu_pd(as_of + i, new_at);
+      const __mmask8 below = _mm512_cmp_pd_mask(new_lvl, vthr, _CMP_LT_OQ);
+      // Next crossing of the lanes left above the threshold (scalar
+      // operation order, no FMA); selected and zero-draw lanes are
+      // blended to +inf before the min.
+      const __m512d c = _mm512_add_pd(
+          _mm512_add_pd(new_at,
+                        _mm512_div_pd(_mm512_sub_pd(new_lvl, vthr), drw)),
+          veps);
+      const __mmask8 live = static_cast<__mmask8>(~below & positive);
+      acc = _mm512_min_pd(_mm512_mask_blend_pd(live, inf, c), acc);
+      unsigned mask = below;
       while (mask != 0) {
         const int lane = __builtin_ctz(mask);
-        out[count++] = ids[i + static_cast<std::size_t>(lane)];
+        out[r.count++] = ids[i + static_cast<std::size_t>(lane)];
         mask &= mask - 1;
       }
     }
+    r.next_crossing = _mm512_reduce_min_pd(acc);
   }
   for (; i < n; ++i) {
     if (t > as_of[i]) {
@@ -382,9 +356,14 @@ std::size_t avx512_advance_select_below(double* level, double* as_of,
       }
       as_of[i] = t;
     }
-    if (level[i] < threshold) out[count++] = ids[i];
+    if (level[i] < threshold) {
+      out[r.count++] = ids[i];
+    } else if (draw[i] > 0.0) {
+      const double c = as_of[i] + (level[i] - threshold) / draw[i] + eps;
+      if (c < r.next_crossing) r.next_crossing = c;
+    }
   }
-  return count;
+  return r;
 }
 
 // --- Blossom dual-adjustment kernels (all-integer, trivially bitwise) ----
@@ -559,8 +538,7 @@ const KernelTable kAvx512Kernels = {
     avx512_distance_row,  avx512_argmin_masked,
     avx512_argmin_distance_masked,
     avx512_min_reduce,    avx512_max_reduce,    avx512_two_opt_scan,
-    avx512_or_opt_scan,   avx512_select_within, avx512_crossing_min,
-    avx512_advance_select_below,
+    avx512_or_opt_scan,   avx512_select_within, avx512_advance_select_below,
     avx512_i64_min_where, avx512_i64_dual_apply, avx512_i64_slack_bound,
     avx512_i64_slack_shift, avx512_price_scan,
 };

@@ -47,15 +47,12 @@ struct KernelTable {
   std::size_t (*select_within)(const double* xs, const double* ys,
                                std::size_t n, double cx, double cy, double r2,
                                const std::uint32_t* ids, std::uint32_t* out);
-  double (*crossing_min)(const double* level, const double* as_of,
-                         const double* draw, std::size_t n, double threshold,
-                         double eps);
-  std::size_t (*advance_select_below)(double* level, double* as_of,
-                                      double* dead_since, const double* draw,
-                                      std::size_t n, double t,
-                                      double threshold,
-                                      const std::uint32_t* ids,
-                                      std::uint32_t* out);
+  BelowSelection (*advance_select_below)(double* level, double* as_of,
+                                        double* dead_since,
+                                        const double* draw, std::size_t n,
+                                        double t, double threshold,
+                                        double eps, const std::uint32_t* ids,
+                                        std::uint32_t* out);
   std::int64_t (*i64_min_where)(const std::int64_t* lab,
                                 const std::int32_t* state, std::int32_t want,
                                 std::size_t lo, std::size_t hi);

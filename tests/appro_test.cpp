@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "core/appro.h"
 #include "core/overlap_graph.h"
 #include "geometry/field.h"
+#include "geometry/grid_index.h"
 #include "graph/mis.h"
 #include "model/charging_problem.h"
 #include "schedule/estimate.h"
@@ -70,6 +72,97 @@ TEST(OverlapGraph, MatchesBruteForcePredicate) {
       EXPECT_EQ(h.has_edge(i, j), p.overlapping(subset[i], subset[j]));
     }
   }
+}
+
+// Frozen copies of the grid-based builders G_c and H used before both were
+// read off the coverage lists.
+graph::Graph frozen_charging_graph(const ChargingProblem& p) {
+  const double radius = p.gamma();
+  const geom::GridIndex index(p.positions(), radius > 0.0 ? radius : 1.0);
+  graph::Graph g(p.size());
+  for (graph::Vertex u = 0; u < p.size(); ++u) {
+    index.visit_disk(p.position(u), radius, [&](std::uint32_t v) {
+      if (v > u) g.add_edge(u, v);
+      return true;
+    });
+  }
+  return g;
+}
+
+graph::Graph frozen_overlap_graph(const ChargingProblem& p,
+                                  const std::vector<std::uint32_t>& subset) {
+  graph::Graph h(subset.size());
+  if (subset.empty()) return h;
+  std::vector<geom::Point> pts;
+  for (std::uint32_t v : subset) pts.push_back(p.position(v));
+  const double reach = 2.0 * p.gamma();
+  const geom::GridIndex index(pts, reach > 0.0 ? reach : 1.0);
+  for (std::uint32_t i = 0; i < subset.size(); ++i) {
+    index.visit_disk(pts[i], reach, [&](std::uint32_t j) {
+      if (j > i && p.overlapping(subset[i], subset[j])) h.add_edge(i, j);
+      return true;
+    });
+  }
+  return h;
+}
+
+void expect_graphs_match_frozen(const ChargingProblem& p,
+                                const std::string& what) {
+  SCOPED_TRACE(what);
+  const graph::Graph gc = charging_graph(p);
+  const graph::Graph want_gc = frozen_charging_graph(p);
+  EXPECT_EQ(want_gc.num_edges(), gc.num_edges());
+  EXPECT_EQ(want_gc.edges(), gc.edges());
+  // H over the MIS Appro uses, over every third sensor (not independent,
+  // so members may share coverage with each other), and over everyone.
+  std::vector<std::uint32_t> every_third, all(p.size());
+  for (std::uint32_t v = 0; v < p.size(); ++v) {
+    all[v] = v;
+    if (v % 3 == 0) every_third.push_back(v);
+  }
+  for (const auto& subset :
+       {graph::maximal_independent_set(gc), every_third, all}) {
+    const graph::Graph h = overlap_graph(p, subset);
+    const graph::Graph want_h = frozen_overlap_graph(p, subset);
+    EXPECT_EQ(want_h.num_edges(), h.num_edges());
+    EXPECT_EQ(want_h.edges(), h.edges());
+  }
+}
+
+TEST(OverlapGraph, CoverageBuiltGraphsMatchFrozenGridBuilders) {
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    Rng rng(900 + seed);
+    // From sparse to dense: 40 m fields pack 300 sensors tightly.
+    const double field = seed % 2 == 0 ? 100.0 : 40.0;
+    for (std::size_t n : {1, 2, 5, 31, 32, 33, 120, 300}) {
+      expect_graphs_match_frozen(random_problem(n, 2, rng, field),
+                                 "random n=" + std::to_string(n));
+    }
+  }
+  // Pairs exactly gamma and 2*gamma apart (3-4-5 triangles keep the
+  // distances exact), duplicate points, and one sensor at the origin
+  // covered by three pairwise independent members.
+  const double gamma = 2.5;
+  const std::vector<geom::Point> adversarial = {
+      {0.0, 0.0},    {2.5, 0.0},   {5.0, 0.0},   {1.5, 2.0},  {3.0, 4.0},
+      {0.0, 5.0},    {-2.5, 0.0},  {-2.5, 0.0},  {-2.5, 0.0}, {-1.25, 2.1650635},
+      {-1.25, -2.1650635}, {10.0, 10.0}, {10.0, 12.5}, {10.0, 15.0},
+      {12.0, 11.5},  {10.0, 10.0}};
+  const std::vector<double> deficits(adversarial.size(), 1.0);
+  expect_graphs_match_frozen(
+      ChargingProblem(adversarial, deficits, {0.0, 0.0}, gamma, 1.0, 2),
+      "adversarial gamma=2.5");
+  expect_graphs_match_frozen(
+      ChargingProblem(adversarial, deficits, {0.0, 0.0}, 2.7, 1.0, 2),
+      "adversarial gamma=2.7");
+  expect_graphs_match_frozen(
+      ChargingProblem(adversarial, deficits, {0.0, 0.0}, 0.0, 1.0, 2),
+      "adversarial gamma=0");
+  // The three members {2.5, 0}, {-1.25, +-2.165} are pairwise ~4.33 m
+  // apart (independent in G_c) and all cover the origin: H joins them.
+  const ChargingProblem tri(adversarial, deficits, {0.0, 0.0}, gamma, 1.0, 2);
+  const graph::Graph h = overlap_graph(tri, {1, 9, 10});
+  EXPECT_EQ(3u, h.num_edges());
 }
 
 // ---------- Appro pipeline ----------

@@ -1,5 +1,6 @@
 // Unit and property tests for the graph module: adjacency graph, unit-disk
-// builder, MIS, DSU, MST, Euler circuits, traversal.
+// graphs (built as the charging graph G_c), MIS, DSU, MST, Euler circuits,
+// traversal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <map>
 #include <numeric>
 
+#include "core/overlap_graph.h"
 #include "geometry/field.h"
 #include "graph/dsu.h"
 #include "graph/euler.h"
@@ -16,7 +18,6 @@
 #include "graph/mis.h"
 #include "graph/mst.h"
 #include "graph/traversal.h"
-#include "graph/unit_disk.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -74,11 +75,19 @@ TEST(Graph, MaxDegree) {
   EXPECT_EQ(g.max_degree(), 3u);
 }
 
+/// The unit-disk graph of `pts` at `radius`: the charging graph G_c of a
+/// problem whose charging radius is `radius`.
+Graph disk_graph(const std::vector<geom::Point>& pts, double radius) {
+  const model::ChargingProblem problem(pts, std::vector<double>(pts.size(), 0.0),
+                                       {0.0, 0.0}, radius, 1.0, 1);
+  return core::charging_graph(problem);
+}
+
 TEST(UnitDisk, MatchesBruteForce) {
   Rng rng(10);
   const auto pts = geom::uniform_field(150, 50.0, 50.0, rng);
   const double radius = 4.0;
-  const Graph g = unit_disk_graph(pts, radius);
+  const Graph g = disk_graph(pts, radius);
   for (Vertex u = 0; u < pts.size(); ++u) {
     for (Vertex v = u + 1; v < pts.size(); ++v) {
       const bool expect = geom::within(pts[u], pts[v], radius);
@@ -91,7 +100,7 @@ TEST(UnitDisk, ZeroRadiusOnlyCoincident) {
   const std::vector<geom::Point> pts{{0, 0}, {0, 0}, {1, 0}};
   // Coincident points would be self-distinct vertices at distance 0; the
   // builder must connect them and nothing else.
-  const Graph g = unit_disk_graph(pts, 0.0);
+  const Graph g = disk_graph(pts, 0.0);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_FALSE(g.has_edge(0, 2));
 }
@@ -105,7 +114,7 @@ TEST_P(MisProperty, IndependentAndMaximal) {
   const auto [seed, order] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed));
   const auto pts = geom::uniform_field(120, 40.0, 40.0, rng);
-  const Graph g = unit_disk_graph(pts, 3.0);
+  const Graph g = disk_graph(pts, 3.0);
   std::vector<double> priority(g.num_vertices());
   for (auto& p : priority) p = rng.uniform();
   const auto set = maximal_independent_set(g, order, &priority, &rng);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "geometry/grid_index.h"
 #include "model/charging_problem.h"
 #include "model/network.h"
 #include "util/rng.h"
@@ -108,6 +109,37 @@ TEST(ChargingProblem, CoverageSets) {
   EXPECT_EQ(p.coverage(0), (std::vector<std::uint32_t>{0, 1}));
   EXPECT_EQ(p.coverage(1), (std::vector<std::uint32_t>{0, 1, 2}));
   EXPECT_EQ(p.coverage(2), (std::vector<std::uint32_t>{1, 2}));
+}
+
+TEST(ChargingProblem, CoverageMatchesGridQueryOnBothSidesOfCutoff) {
+  // Up to kDirectCoverageLimit sensors the lists come from a pair loop,
+  // above it from a GridIndex; both must equal GridIndex::query_disk.
+  constexpr std::size_t kLimit = ChargingProblem::kDirectCoverageLimit;
+  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
+                        kLimit - 1, kLimit, kLimit + 1, std::size_t{200}}) {
+    for (double field : {15.0, 100.0}) {
+      Rng rng(60 + n);
+      std::vector<geom::Point> pts;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Every fourth point duplicates its predecessor; every fifth sits
+        // exactly gamma = 2.5 to the right of it.
+        if (i > 0 && i % 4 == 0) {
+          pts.push_back(pts.back());
+        } else if (i > 0 && i % 5 == 0) {
+          pts.push_back({pts.back().x + 2.5, pts.back().y});
+        } else {
+          pts.push_back({rng.uniform(0.0, field), rng.uniform(0.0, field)});
+        }
+      }
+      const ChargingProblem p(pts, std::vector<double>(n, 1.0), {0.0, 0.0},
+                              2.5, 1.0, 1);
+      const geom::GridIndex index(pts, 2.5);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        EXPECT_EQ(index.query_disk(pts[v], 2.5), p.coverage(v))
+            << "n=" << n << " field=" << field << " v=" << v;
+      }
+    }
+  }
 }
 
 TEST(ChargingProblem, TauIsMaxOverCoverage) {

@@ -23,7 +23,7 @@ struct Variant {
   const char* tag;
 };
 
-TEST(SimDeterminism, ByteIdenticalAcrossJobsAndBackends) {
+TEST(SimDeterminism, ByteIdenticalAcrossBackends) {
   Rng rng(77);
   auto instance = model::make_instance(model::NetworkConfig{}, 300, rng);
   // Load the fleet so the run has dead sensors, censored rounds, and big

@@ -68,7 +68,7 @@ constexpr core::RecoveryPolicy kPolicies[] = {core::RecoveryPolicy::kDefer,
                                               core::RecoveryPolicy::kGraft,
                                               core::RecoveryPolicy::kReplan};
 
-TEST(SimFaults, ByteIdenticalAcrossJobsBackendsAndSeeds) {
+TEST(SimFaults, ByteIdenticalAcrossBackendsAndSeeds) {
   const auto instance = hot_instance(91, 250, 3.0);
   core::ApproScheduler appro;
   for (const std::uint64_t fault_seed : {1ULL, 42ULL}) {
@@ -372,7 +372,7 @@ TEST(SimEnergy, RecordedTourDrawsMatchAggregatesExactly) {
   EXPECT_BITS_EQ(global_max, on.mcv_energy_max_tour_j);
 }
 
-TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossJobsBackendsAndPolicies) {
+TEST(SimEnergy, BudgetedRunsBitIdenticalAcrossBackendsAndPolicies) {
   const auto instance = hot_instance(122, 250, 3.0);
   core::ApproScheduler appro;
   SimConfig base;
@@ -650,6 +650,27 @@ TEST(Validation, SimulateCheckedReturnsErrorInsteadOfAborting) {
   const auto ok = simulate_checked(instance, appro, good);
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->verify_violations, 0u);
+}
+
+TEST(Validation, RejectsFewerDrawsThanPositions) {
+  // A draw vector shorter than the position vector used to be read past
+  // its end, first by the validator, then by simulate.
+  Rng rng(4);
+  auto instance = model::make_instance(model::NetworkConfig{}, 12, rng);
+  instance.consumption_w.resize(7);
+  core::ApproScheduler appro;
+  SimConfig config;
+  config.monitoring_period_s = 10.0 * 86400.0;
+  const auto failed = simulate_checked(instance, appro, config);
+  ASSERT_FALSE(failed.has_value());
+  EXPECT_EQ(failed.error().code, ConfigErrorCode::kNonFiniteSensorData);
+  EXPECT_NE(failed.error().message.find("7"), std::string::npos);
+  EXPECT_NE(failed.error().message.find("12"), std::string::npos);
+
+  instance.consumption_w.resize(15, 0.01);  // more draws than sensors
+  const auto longer = simulate_checked(instance, appro, config);
+  ASSERT_FALSE(longer.has_value());
+  EXPECT_EQ(longer.error().code, ConfigErrorCode::kNonFiniteSensorData);
 }
 
 }  // namespace

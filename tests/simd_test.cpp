@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/appro.h"
@@ -393,29 +394,129 @@ DrainSoa random_drain(std::size_t n, std::uint64_t seed, double threshold) {
   return s;
 }
 
-TEST(Simd, CrossingMinMatchesScalarOnAllBackends) {
-  const double threshold = 2160.0;
-  const double eps = 1e-6;
-  for (std::size_t n : kLengths) {
-    const DrainSoa s = random_drain(n, 1200 + n, threshold);
-    double want = kInf;
-    for (std::size_t i = 0; i < n; ++i) {
-      double c;
-      if (s.level[i] < threshold) {
-        c = s.as_of[i];
-      } else if (s.draw[i] <= 0.0) {
-        c = kInf;
+// Frozen copies of the scalar drain pair the simulator ran before the
+// crossing was fused into the advance: advance + select, then a separate
+// crossing min over every sensor.
+std::vector<std::uint32_t> frozen_advance_select_below(
+    DrainSoa& s, double t, double threshold,
+    const std::vector<std::uint32_t>& ids) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < s.level.size(); ++i) {
+    if (t > s.as_of[i]) {
+      const double drained = s.draw[i] * (t - s.as_of[i]);
+      if (drained >= s.level[i] && s.draw[i] > 0.0) {
+        if (s.dead_since[i] == kInf) {
+          s.dead_since[i] = s.as_of[i] + s.level[i] / s.draw[i];
+        }
+        s.level[i] = 0.0;
       } else {
-        c = s.as_of[i] + (s.level[i] - threshold) / s.draw[i] + eps;
+        s.level[i] -= drained;
       }
-      if (c < want) want = c;
+      s.as_of[i] = t;
     }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      EXPECT_EQ(want, simd::crossing_min(s.level.data(), s.as_of.data(),
-                                         s.draw.data(), n, threshold, eps))
-          << "n=" << n << " backend=" << static_cast<int>(b);
+    if (s.level[i] < threshold) out.push_back(ids[i]);
+  }
+  return out;
+}
+
+double frozen_earliest_crossing(const DrainSoa& s, double threshold, double eps) {
+  double best = kInf;
+  for (std::size_t i = 0; i < s.level.size(); ++i) {
+    double c;
+    if (s.level[i] < threshold) {
+      c = s.as_of[i];
+    } else if (s.draw[i] <= 0.0) {
+      c = kInf;
+    } else {
+      c = s.as_of[i] + (s.level[i] - threshold) / s.draw[i] + eps;
     }
+    if (c < best) best = c;
+  }
+  return best;
+}
+
+/// Runs the fused kernel on a copy of `base` under every backend and
+/// checks it against the frozen pair: same state, same ids, and the
+/// crossing over the unselected lanes, folded with the selected lanes'
+/// "now" crossings, equals the old all-lane crossing min bit for bit.
+void expect_fused_matches_pair(const DrainSoa& base, double t,
+                               double threshold, const std::string& what) {
+  const double eps = 1e-6;
+  const std::size_t n = base.level.size();
+  std::vector<std::uint32_t> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ids[i] = static_cast<std::uint32_t>(i);
+  }
+  DrainSoa want = base;
+  const std::vector<std::uint32_t> want_out =
+      frozen_advance_select_below(want, t, threshold, ids);
+  const double want_min = frozen_earliest_crossing(want, threshold, eps);
+  for (simd::Backend b : supported_backends()) {
+    BackendGuard guard(b);
+    SCOPED_TRACE(what + " n=" + std::to_string(n) + " t=" +
+                 std::to_string(t) + " backend=" + simd::backend_name(b));
+    DrainSoa got = base;
+    std::vector<std::uint32_t> out(n + 1, 0xdeadbeef);
+    const simd::BelowSelection sel = simd::advance_select_below(
+        got.level.data(), got.as_of.data(), got.dead_since.data(),
+        got.draw.data(), n, t, threshold, eps, ids.data(), out.data());
+    ASSERT_EQ(want_out.size(), sel.count);
+    double folded = sel.next_crossing;
+    for (std::size_t k = 0; k < sel.count; ++k) {
+      EXPECT_EQ(want_out[k], out[k]);
+      if (got.as_of[out[k]] < folded) folded = got.as_of[out[k]];
+    }
+    EXPECT_EQ(0, std::memcmp(&want_min, &folded, sizeof(double)))
+        << want_min << " vs " << folded;
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(want.level[i], got.level[i]) << "i=" << i;
+      EXPECT_EQ(want.as_of[i], got.as_of[i]) << "i=" << i;
+      EXPECT_EQ(want.dead_since[i], got.dead_since[i]) << "i=" << i;
+    }
+    // The reported crossing is exactly the unselected lanes' minimum.
+    double unselected = kInf;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (got.level[i] < threshold || !(got.draw[i] > 0.0)) continue;
+      const double c =
+          got.as_of[i] + (got.level[i] - threshold) / got.draw[i] + eps;
+      if (c < unselected) unselected = c;
+    }
+    EXPECT_EQ(0, std::memcmp(&unselected, &sel.next_crossing,
+                             sizeof(double)));
+  }
+}
+
+TEST(Simd, FusedAdvanceCrossingMatchesOldPairOnAllBackends) {
+  const double threshold = 2160.0;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (std::size_t n : {23, 31, 33, 63, 100, 101}) lengths.push_back(n);
+  for (std::size_t n : lengths) {
+    // Mixed population: healthy, zero and negative draw, already below,
+    // long dead; t = 0 and 10000 leave lanes with t <= as_of untouched,
+    // 4e6 kills most of the draining lanes during this advance.
+    for (double t : {0.0, 10000.0, 60000.0, 4.0e6}) {
+      expect_fused_matches_pair(random_drain(n, 1200 + n, threshold), t,
+                                threshold, "mixed");
+    }
+    Rng rng(1400 + n);
+    DrainSoa all_below, none_below, dying;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double at = rng.uniform(0.0, 1000.0);
+      const double draw = i % 5 == 3 ? 0.0 : rng.uniform(0.01, 0.2);
+      all_below.level.push_back(rng.uniform(0.0, threshold * 0.99));
+      none_below.level.push_back(rng.uniform(threshold * 2.0, 10800.0));
+      // Just above the threshold, with t far enough out to empty it.
+      dying.level.push_back(rng.uniform(threshold, threshold * 1.1));
+      for (DrainSoa* d : {&all_below, &none_below, &dying}) {
+        d->as_of.push_back(at);
+        d->dead_since.push_back(kInf);
+        d->draw.push_back(draw);
+      }
+    }
+    expect_fused_matches_pair(all_below, 2000.0, threshold, "all selected");
+    expect_fused_matches_pair(none_below, 2000.0, threshold, "none selected");
+    expect_fused_matches_pair(dying, 1.0e6, threshold, "dying");
   }
 }
 
@@ -430,33 +531,22 @@ TEST(Simd, AdvanceSelectBelowMatchesScalarOnAllBackends) {
       }
       // Scalar reference on a copy, matching the documented semantics.
       DrainSoa want = base;
-      std::vector<std::uint32_t> want_out;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (t > want.as_of[i]) {
-          const double drained = want.draw[i] * (t - want.as_of[i]);
-          if (drained >= want.level[i] && want.draw[i] > 0.0) {
-            if (want.dead_since[i] == kInf) {
-              want.dead_since[i] =
-                  want.as_of[i] + want.level[i] / want.draw[i];
-            }
-            want.level[i] = 0.0;
-          } else {
-            want.level[i] -= drained;
-          }
-          want.as_of[i] = t;
-        }
-        if (want.level[i] < threshold) want_out.push_back(ids[i]);
-      }
+      const std::vector<std::uint32_t> want_out =
+          frozen_advance_select_below(want, t, threshold, ids);
       for (simd::Backend b : supported_backends()) {
         BackendGuard guard(b);
         DrainSoa got = base;
         std::vector<std::uint32_t> out(n + 1, 0xdeadbeef);
-        const std::size_t kept = simd::advance_select_below(
-            got.level.data(), got.as_of.data(), got.dead_since.data(),
-            got.draw.data(), n, t, threshold, ids.data(), out.data());
+        const std::size_t kept =
+            simd::advance_select_below(got.level.data(), got.as_of.data(),
+                                       got.dead_since.data(), got.draw.data(),
+                                       n, t, threshold, 1e-6, ids.data(),
+                                       out.data())
+                .count;
         ASSERT_EQ(want_out.size(), kept)
             << "n=" << n << " t=" << t << " backend=" << static_cast<int>(b);
         for (std::size_t i = 0; i < kept; ++i) EXPECT_EQ(want_out[i], out[i]);
+        EXPECT_EQ(0xdeadbeefu, out[n]) << "wrote past the selection";
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_EQ(want.level[i], got.level[i]) << "i=" << i;
           EXPECT_EQ(want.as_of[i], got.as_of[i]) << "i=" << i;

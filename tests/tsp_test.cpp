@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 
 #include "geometry/field.h"
 #include "tsp/construct.h"
@@ -428,6 +430,136 @@ TEST(Split, InfeasibleEnergyCapFallsBackToUncapped) {
   ASSERT_EQ(fallback.tours.size(), 1u);
   EXPECT_EQ(fallback.tours[0], plain.tours[0]);
   EXPECT_TRUE(is_complete_tour(p, fallback.tours[0]));
+}
+
+// Frozen copy of split_min_max as it was before the probes stopped
+// building segment vectors: every greedy probe materializes its cut.
+struct FrozenCut {
+  bool ok = false;
+  std::vector<Tour> segments;
+};
+
+FrozenCut frozen_greedy_cut(const TourProblem& p, const Tour& tour,
+                            double budget, const SegmentEnergyCap& cap) {
+  FrozenCut result;
+  Tour current;
+  double internal = 0.0;
+  double etravel = 0.0;
+  double eservice = 0.0;
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    const SiteId v = tour[i];
+    const double solo = 2.0 * p.travel_depot(v) + p.service[v];
+    if (solo > budget) return result;
+    if (current.empty()) {
+      current.push_back(v);
+      internal = p.service[v];
+      etravel = 0.0;
+      eservice = p.service[v];
+      continue;
+    }
+    const double extended = p.travel_depot(current.front()) + internal +
+                            p.travel(current.back(), v) + p.service[v] +
+                            p.travel_depot(v);
+    bool fits = extended <= budget;
+    if (fits && cap.enabled()) {
+      const double joules =
+          (p.travel_depot(current.front()) + etravel +
+           p.travel(current.back(), v) + p.travel_depot(v)) *
+              cap.travel_power_w +
+          (eservice + p.service[v]) * cap.service_power_w;
+      fits = joules <= cap.budget_j;
+    }
+    if (fits) {
+      internal += p.travel(current.back(), v) + p.service[v];
+      etravel += p.travel(current.back(), v);
+      eservice += p.service[v];
+      current.push_back(v);
+    } else {
+      result.segments.push_back(std::move(current));
+      current = {v};
+      internal = p.service[v];
+      etravel = 0.0;
+      eservice = p.service[v];
+    }
+  }
+  if (!current.empty()) result.segments.push_back(std::move(current));
+  result.ok = true;
+  return result;
+}
+
+SplitResult frozen_split_min_max(const TourProblem& problem, const Tour& tour,
+                                 std::size_t k, const SegmentEnergyCap& cap) {
+  SplitResult result;
+  double lo0 = -std::numeric_limits<double>::infinity();
+  for (SiteId v : tour) {
+    lo0 = std::max(lo0, 2.0 * problem.travel_depot(v) + problem.service[v]);
+  }
+  double lo = std::max(0.0, lo0);
+  double hi = std::max(lo, tour_delay(problem, tour));
+  hi += 1e-9 * std::max(1.0, hi);
+  SegmentEnergyCap use = cap;
+  FrozenCut best = frozen_greedy_cut(problem, tour, hi, use);
+  if (use.enabled() && best.ok && best.segments.size() > k) {
+    use = SegmentEnergyCap{};
+    best = frozen_greedy_cut(problem, tour, hi, use);
+  }
+  for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    FrozenCut cut = frozen_greedy_cut(problem, tour, mid, use);
+    if (cut.ok && cut.segments.size() <= k) {
+      best = std::move(cut);
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  result.tours = std::move(best.segments);
+  result.tours.resize(k);
+  for (const auto& s : result.tours) {
+    result.max_delay = std::max(result.max_delay, tour_delay(problem, s));
+  }
+  return result;
+}
+
+TEST(Split, ProbeBufferMatchesFrozenVectorSplitBitwise) {
+  std::size_t capped_runs = 0;
+  std::size_t fallback_runs = 0;
+  for (std::size_t m = 1; m <= 40; ++m) {
+    Rng rng(500 + m);
+    const TourProblem p = random_problem(m, rng, 400.0);
+    Tour tour = nearest_neighbor_tour(p);
+    if (m % 2 == 0) rng.shuffle(tour);  // a poor tour: more, uneven cuts
+    SegmentEnergyCap room;
+    room.travel_power_w = 135.0;
+    room.service_power_w = 2.0;
+    room.budget_j = segment_energy(p, tour, room) / 3.0;
+    SegmentEnergyCap starved = room;
+    starved.budget_j = 1e-3;  // no multi-site segment fits
+    for (std::size_t k = 1; k <= 5; ++k) {
+      for (const SegmentEnergyCap& cap :
+           {SegmentEnergyCap{}, room, starved}) {
+        const SplitResult want = frozen_split_min_max(p, tour, k, cap);
+        const SplitResult got = split_min_max(p, tour, k, cap);
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                     " cap=" + std::to_string(cap.budget_j));
+        ASSERT_EQ(want.tours, got.tours);
+        EXPECT_EQ(0, std::memcmp(&want.max_delay, &got.max_delay,
+                                 sizeof(double)));
+        if (cap.enabled()) {
+          ++capped_runs;
+          // The starved cap must take the cap-drop path once there are
+          // more sites than chargers.
+          if (cap.budget_j == starved.budget_j && m > k) {
+            const SplitResult plain = split_min_max(p, tour, k);
+            EXPECT_EQ(plain.tours, got.tours);
+            ++fallback_runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(capped_runs, 0u);
+  EXPECT_GT(fallback_runs, 0u);
 }
 
 TEST(MinMaxKTours, EndToEndCoversAllSites) {
