@@ -25,6 +25,7 @@
 #include "baselines/aa.h"
 #include "baselines/kminmax.h"
 #include "core/appro.h"
+#include "golden_digest.h"
 #include "sim/simulation.h"
 #include "sim_compare.h"
 #include "util/rng.h"
@@ -32,35 +33,7 @@
 namespace mcharge::sim {
 namespace {
 
-class Digest {
- public:
-  void add(const std::string& s) {
-    for (unsigned char c : s) {
-      hash_ ^= c;
-      hash_ *= 0x100000001b3ULL;
-    }
-    hash_ ^= 0xff;  // field separator
-    hash_ *= 0x100000001b3ULL;
-  }
-  void add(double x) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", x);
-    add(std::string(buf));
-  }
-  void add(std::size_t x) { add(std::to_string(x)); }
-  void add(const RunningStats& s) {
-    add(s.count());
-    add(s.sum());
-    add(s.mean());
-    add(s.variance());
-    add(s.min());
-    add(s.max());
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+using golden::Digest;
 
 std::string digest(const SimResult& r) {
   Digest d;
