@@ -131,73 +131,32 @@ void BM_ExactMatching(benchmark::State& state) {
 }
 BENCHMARK(BM_ExactMatching)->Arg(8)->Arg(12)->Arg(16);
 
-void BM_LocalSearchMatching(benchmark::State& state) {
-  Rng rng(5);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const matching::WeightFn w = [&](std::uint32_t a, std::uint32_t b) {
-    return geom::distance(pts[a], pts[b]);
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::local_search_matching(n, w));
-  }
-}
-BENCHMARK(BM_LocalSearchMatching)->Arg(50)->Arg(150)->Arg(400);
-
-void BM_BlossomMatching(benchmark::State& state) {
-  Rng rng(19);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const matching::WeightFn w = [&](std::uint32_t a, std::uint32_t b) {
-    return geom::distance(pts[a], pts[b]);
-  };
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::blossom_min_weight_matching(n, w));
-  }
-}
-BENCHMARK(BM_BlossomMatching)->Arg(50)->Arg(150)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
-
-matching::MatchingOptions engine_options(std::int64_t engine) {
-  matching::MatchingOptions opts;
-  switch (engine) {
-    case 0:
-      opts.engine = matching::MatchingEngine::kDenseBlossom;
-      break;
-    case 1:
-      opts.engine = matching::MatchingEngine::kSparseBlossom;
-      break;
-    default:
-      opts.engine = matching::MatchingEngine::kLocalSearch;
-      break;
-  }
-  return opts;
+/// The blossom engine a bench row runs: 0 = dense, 1 = sparse.
+matching::Matching run_engine(std::int64_t engine,
+                              const std::vector<geom::Point>& pts) {
+  return engine == 0 ? matching::dense_blossom_euclidean_matching(pts)
+                     : matching::sparse_blossom_euclidean_matching(pts);
 }
 
 void BM_Blossom(benchmark::State& state) {
   // Engine shoot-out on uniform fields: arg0 = n, arg1 = engine
-  // (0 = dense blossom, 1 = sparse price-and-repair, 2 = local search).
-  // Dense is exact but O(n^2) memory / O(n^3) time, so its series stops
-  // at 256; sparse and local search run through n = 4096.
+  // (0 = dense blossom, 1 = sparse price-and-repair). Dense is exact but
+  // O(n^2) memory / O(n^3) time, so its series stops at 256; sparse runs
+  // through n = 4096.
   Rng rng(19);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const auto opts = engine_options(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::min_weight_euclidean_matching(pts, opts));
+    benchmark::DoNotOptimize(run_engine(state.range(1), pts));
   }
 }
 BENCHMARK(BM_Blossom)
     ->Args({64, 0})
     ->Args({64, 1})
-    ->Args({64, 2})
     ->Args({256, 0})
     ->Args({256, 1})
-    ->Args({256, 2})
     ->Args({1024, 1})
-    ->Args({1024, 2})
     ->Args({4096, 1})
-    ->Args({4096, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ChristofidesMatching(benchmark::State& state) {
@@ -221,19 +180,16 @@ void BM_ChristofidesMatching(benchmark::State& state) {
   for (std::size_t v = 0; v < vertices.size(); ++v) {
     if (degree[v] % 2 == 1) odd.push_back(vertices[v]);
   }
-  const auto opts = engine_options(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(matching::min_weight_euclidean_matching(odd, opts));
+    benchmark::DoNotOptimize(run_engine(state.range(1), odd));
   }
   state.counters["odd"] = static_cast<double>(odd.size());
 }
 BENCHMARK(BM_ChristofidesMatching)
     ->Args({350, 0})
     ->Args({350, 1})
-    ->Args({350, 2})
     ->Args({1200, 0})
     ->Args({1200, 1})
-    ->Args({1200, 2})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ChristofidesTour(benchmark::State& state) {
@@ -418,31 +374,6 @@ void BM_PlanSmallBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanSmallBatch)
     ->ArgsProduct({{1, 2, 4, 16}, {0, 1}});
-
-void BM_ApproInsertion(benchmark::State& state) {
-  // The step-6 insertion phase in isolation: range(1) == 0 runs the
-  // incremental path (cached f_N, dirty-set invalidation, suffix-only
-  // finish recompute, tombstoned pending), range(1) == 1 the legacy
-  // reference (full rescans + whole-tour recompute + mid-vector erase).
-  // Both produce byte-identical plans (tests/appro_incremental_test.cpp);
-  // the delta is the tentpole's insertion-phase win. Steps 1-5 are
-  // included in both runs, so read the difference, not the ratio.
-  const auto problem =
-      make_round(static_cast<std::size_t>(state.range(0)), 2, 9);
-  core::ApproOptions options;
-  options.legacy_insertion = state.range(1) != 0;
-  core::ApproScheduler appro(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(appro.plan(problem));
-  }
-  state.SetLabel(options.legacy_insertion ? "legacy" : "incremental");
-}
-BENCHMARK(BM_ApproInsertion)
-    ->Args({600, 0})
-    ->Args({600, 1})
-    ->Args({1200, 0})
-    ->Args({1200, 1})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ApproPlanAndExecute(benchmark::State& state) {
   const auto problem =

@@ -60,7 +60,7 @@ for m in metrics:
     by_name[m["name"]] = m
 names = sorted(by_name)
 assert names == [m["name"] for m in metrics], "metrics not sorted by name"
-# blossom.* spans only fire when auto-dispatch picks the sparse engine,
+# blossom.* spans only fire when the dispatch picks the sparse engine,
 # which depends on instance scale — so they are not required here.
 for required in ("appro.plan", "appro.k_tours", "appro.insertion",
                  "exec.multinode", "sim.round", "sim.select_scan"):

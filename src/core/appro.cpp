@@ -88,28 +88,16 @@ struct WorkTour {
   std::vector<double> finish;           ///< charging finish time f (Eq. (6))
 };
 
-/// Recomputes f from position `from` onward, seeding the clock with the
-/// stored finish of the stop before `from`. An insertion at position
-/// `from` leaves seq/tau_prime on [0, from) untouched, so the stored
-/// finish[from - 1] holds exactly the bits a full forward pass would
-/// reach at that stop — the suffix pass therefore reproduces the
-/// from-scratch recomputation bit for bit (DESIGN.md, planner
-/// determinism).
-void recompute_finish_from(TravelCache& travel, WorkTour& tour,
-                           std::size_t from) {
-  double clock = from == 0 ? 0.0 : tour.finish[from - 1];
-  for (std::size_t l = from; l < tour.seq.size(); ++l) {
+/// Recomputes f along a tour from scratch (Eqs. (6), (11), (12) fold into
+/// a single forward pass once every stop's tau' is fixed).
+void recompute_finish(TravelCache& travel, WorkTour& tour) {
+  double clock = 0.0;
+  for (std::size_t l = 0; l < tour.seq.size(); ++l) {
     clock += l == 0 ? travel.travel_depot(tour.seq[l])
                     : travel.travel(tour.seq[l - 1], tour.seq[l]);
     clock += tour.tau_prime[l];
     tour.finish[l] = clock;
   }
-}
-
-/// Recomputes f along a tour from scratch (Eqs. (6), (11), (12) fold into
-/// a single forward pass once every stop's tau' is fixed).
-void recompute_finish(TravelCache& travel, WorkTour& tour) {
-  recompute_finish_from(travel, tour, 0);
 }
 
 /// Travel detour of inserting sensor `u` right after position `pos`:
@@ -278,42 +266,50 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
   std::vector<std::int32_t> seen_tours;
   seen_tours.reserve(k);
 
-  // f_N(u): max finish over u's H-neighbors that sit in a tour, via the
-  // exact scalar op sequence both insertion paths below replay.
-  auto latest_neighbor_finish = [&](std::uint32_t hi) {
-    double best = -kInf;
-    for (graph::Vertex nb : h.neighbors(hi)) {
-      const std::uint32_t sensor = s_i[nb];
-      if (tour_of[sensor] >= 0) {
-        best = std::max(
-            best, tours[static_cast<std::size_t>(tour_of[sensor])]
-                      .finish[pos_of[sensor]]);
+  while (!pending.empty()) {
+    // Pick the pending node with the smallest f_N (Algorithm 1, line 9):
+    // the max finish over its H-neighbors that sit in a tour. Ties keep
+    // the lowest pending index.
+    std::size_t pick = 0;
+    double pick_fn = kInf;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      double fn = -kInf;
+      for (graph::Vertex nb : h.neighbors(pending[i])) {
+        const std::uint32_t sensor = s_i[nb];
+        if (tour_of[sensor] >= 0) {
+          fn = std::max(fn, tours[static_cast<std::size_t>(tour_of[sensor])]
+                                .finish[pos_of[sensor]]);
+        }
+      }
+      if (fn < pick_fn) {
+        pick_fn = fn;
+        pick = i;
       }
     }
-    return best;
-  };
+    const std::uint32_t hi = pending[pick];
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
+    const std::uint32_t u = s_i[hi];
 
-  // Line 10: drop u when everything it would charge is already covered;
-  // otherwise report the charging duration its sojourn needs.
-  auto coverage_probe = [&](std::uint32_t u, double& tau_prime_u) {
+    // Line 10: drop u when everything it would charge is already covered;
+    // otherwise its sojourn lasts as long as its slowest uncovered sensor.
     bool fully_covered = true;
-    tau_prime_u = 0.0;
+    double tau_prime_u = 0.0;
     for (std::uint32_t w : problem.coverage(u)) {
       if (!covered[w]) {
         fully_covered = false;
         tau_prime_u = std::max(tau_prime_u, problem.charge_seconds(w));
       }
     }
-    return fully_covered;
-  };
+    if (fully_covered) {
+      ++local_stats.dropped_covered;
+      continue;
+    }
 
-  // N'_H(u): H-neighbors already placed in tours. Non-empty because V'_H
-  // is maximal in H (u must have a neighbor in V'_H). Picks the placed
-  // neighbor the insertion rule prefers and bumps the case counters.
-  auto choose_placement = [&](std::uint32_t hi, std::uint32_t u,
-                              std::int32_t& best_tour, std::size_t& best_pos) {
-    best_tour = -1;
-    best_pos = 0;
+    // N'_H(u): H-neighbors already placed in tours. Non-empty because
+    // V'_H is maximal in H (u must have a neighbor in V'_H). Pick the
+    // placed neighbor the insertion rule prefers.
+    std::int32_t best_tour = -1;
+    std::size_t best_pos = 0;
     double best_key = -kInf;
     seen_tours.clear();
     for (graph::Vertex nb : h.neighbors(hi)) {
@@ -333,8 +329,7 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
       } else {
         // Ablation: minimize the travel detour of inserting after `pos`
         // (maximize its negation).
-        const double to_u = p_travel_after(travel, wt, pos, u);
-        key = -to_u;
+        key = -p_travel_after(travel, wt, pos, u);
       }
       if (key > best_key) {
         best_key = key;
@@ -344,159 +339,21 @@ sched::ChargingPlan ApproScheduler::plan_with_stats(
     }
     MCHARGE_ASSERT(best_tour >= 0,
                    "u in S_I \\ V'_H must have a placed H-neighbor");
-    const std::size_t distinct_tours = seen_tours.size();
-    MCHARGE_ASSERT(distinct_tours >= 1,
-                   "a placed H-neighbor implies at least one distinct tour");
-    if (distinct_tours <= 1) {
+    if (seen_tours.size() <= 1) {
       ++local_stats.inserted_case_one;  // Case (i)
     } else {
       ++local_stats.inserted_case_two;  // Case (ii)
     }
-  };
 
-  // Insert u just after its chosen neighbor (Eqs. (9)/(13)): splice the
-  // stop, its charging duration and a finish slot in at `insert_at`.
-  auto splice = [](WorkTour& tour, std::size_t insert_at, std::uint32_t u,
-                   double tau_prime_u) {
-    tour.seq.insert(tour.seq.begin() + static_cast<std::ptrdiff_t>(insert_at),
-                    u);
-    tour.tau_prime.insert(
-        tour.tau_prime.begin() + static_cast<std::ptrdiff_t>(insert_at),
-        tau_prime_u);
-    tour.finish.insert(
-        tour.finish.begin() + static_cast<std::ptrdiff_t>(insert_at), 0.0);
-  };
-
-  if (options_.legacy_insertion) {
-    // Reference path: full f_N rescans, whole-tour finish recomputation
-    // and a mid-vector erase every round — O(|P|^2 * deg) overall. Kept
-    // so the incremental path can be differentially tested against it.
-    while (!pending.empty()) {
-      // Pick the pending node with the smallest f_N (Algorithm 1, line 9).
-      std::size_t pick = 0;
-      double pick_fn = kInf;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        const double fn = latest_neighbor_finish(pending[i]);
-        if (fn < pick_fn) {
-          pick_fn = fn;
-          pick = i;
-        }
-      }
-      const std::uint32_t hi = pending[pick];
-      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(pick));
-      const std::uint32_t u = s_i[hi];
-
-      double tau_prime_u = 0.0;
-      if (coverage_probe(u, tau_prime_u)) {
-        ++local_stats.dropped_covered;
-        continue;
-      }
-      std::int32_t best_tour = -1;
-      std::size_t best_pos = 0;
-      choose_placement(hi, u, best_tour, best_pos);
-
-      auto& tour = tours[static_cast<std::size_t>(best_tour)];
-      const std::size_t insert_at = best_pos + 1;
-      splice(tour, insert_at, u, tau_prime_u);
-      recompute_finish(travel, tour);
-      index_tours(static_cast<std::size_t>(best_tour));
-      for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
-    }
-  } else {
-    // Incremental path — bit-identical to the reference by construction
-    // (DESIGN.md, "planner determinism"):
-    //  * f_N is cached per pending node. An insertion into tour t changes
-    //    finishes only in t (the suffix) and adds one placed neighbor (u,
-    //    in t), so only nodes with a placed H-neighbor in t can observe a
-    //    different value; per-(node, tour) placed-neighbor counts find
-    //    them. Dirty nodes recompute with the same scalar scan the
-    //    reference runs; clean nodes keep bits computed by that same scan
-    //    over operands that have not changed.
-    //  * finish times recompute from the insertion point only — the
-    //    prefix clock is the stored finish of the previous stop.
-    //  * picked nodes are tombstoned; the list compacts in order once
-    //    half the slots are dead. The alive scan visits survivors in the
-    //    exact order the erase-based reference keeps them, so the
-    //    lowest-index tie-break on equal f_N is preserved.
-    std::vector<std::uint32_t> nb_in_tour(s_i.size() * k, 0);
-    const auto count_placement = [&](std::uint32_t hi, std::size_t t) {
-      for (graph::Vertex nb : h.neighbors(hi)) {
-        ++nb_in_tour[static_cast<std::size_t>(nb) * k + t];
-      }
-    };
-    for (std::size_t i = 0; i < vh_local.size(); ++i) {
-      const std::uint32_t sensor = vh_sensors[i];
-      MCHARGE_ASSERT(tour_of[sensor] >= 0,
-                     "every V'_H member sits in an initial tour");
-      count_placement(vh_local[i], static_cast<std::size_t>(tour_of[sensor]));
-    }
-
-    std::vector<double> fn_cache(s_i.size(), -kInf);
-    for (std::uint32_t p : pending) {
-      fn_cache[p] = latest_neighbor_finish(p);
-    }
-
-    std::vector<char> gone(pending.size(), 0);
-    std::size_t alive = pending.size();
-    std::size_t dead = 0;
-    while (alive > 0) {
-      // Pick the pending node with the smallest f_N (Algorithm 1, line 9).
-      std::size_t pick = 0;
-      double pick_fn = kInf;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (gone[i]) continue;
-        const double fn = fn_cache[pending[i]];
-        if (fn < pick_fn) {
-          pick_fn = fn;
-          pick = i;
-        }
-      }
-      const std::uint32_t hi = pending[pick];
-      gone[pick] = 1;
-      --alive;
-      if (++dead * 2 >= pending.size()) {
-        std::size_t w = 0;
-        for (std::size_t r = 0; r < pending.size(); ++r) {
-          if (!gone[r]) pending[w++] = pending[r];
-        }
-        pending.resize(w);
-        gone.assign(w, 0);
-        dead = 0;
-      }
-      const std::uint32_t u = s_i[hi];
-
-      double tau_prime_u = 0.0;
-      if (coverage_probe(u, tau_prime_u)) {
-        ++local_stats.dropped_covered;
-        continue;  // no tour changed: every cached f_N stays valid
-      }
-      std::int32_t best_tour = -1;
-      std::size_t best_pos = 0;
-      choose_placement(hi, u, best_tour, best_pos);
-
-      const auto t = static_cast<std::size_t>(best_tour);
-      auto& tour = tours[t];
-      const std::size_t insert_at = best_pos + 1;
-      splice(tour, insert_at, u, tau_prime_u);
-      recompute_finish_from(travel, tour, insert_at);
-      // Only positions at and after the insertion moved; earlier stops
-      // keep their (tour, position).
-      tour_of[u] = best_tour;
-      for (std::size_t l = insert_at; l < tour.seq.size(); ++l) {
-        pos_of[tour.seq[l]] = l;
-      }
-      for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
-      count_placement(hi, t);
-      // Dirty-set recompute: exactly the alive nodes with a placed
-      // H-neighbor in the mutated tour (now including u's neighbors).
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (gone[i]) continue;
-        const std::uint32_t p = pending[i];
-        if (nb_in_tour[static_cast<std::size_t>(p) * k + t] > 0) {
-          fn_cache[p] = latest_neighbor_finish(p);
-        }
-      }
-    }
+    // Insert u just after its chosen neighbor (Eqs. (9)/(13)).
+    auto& tour = tours[static_cast<std::size_t>(best_tour)];
+    const auto at = static_cast<std::ptrdiff_t>(best_pos + 1);
+    tour.seq.insert(tour.seq.begin() + at, u);
+    tour.tau_prime.insert(tour.tau_prime.begin() + at, tau_prime_u);
+    tour.finish.insert(tour.finish.begin() + at, 0.0);
+    recompute_finish(travel, tour);
+    index_tours(static_cast<std::size_t>(best_tour));
+    for (std::uint32_t w : problem.coverage(u)) covered[w] = 1;
   }
 
   // Every sensor must now be covered (S_I dominates G_c).

@@ -57,12 +57,6 @@ struct ApproOptions {
   tsp::MinMaxTourOptions tour;
   /// Placement rule for the insertion phase (step 6).
   InsertionRule insertion = InsertionRule::kAfterMaxFinishNeighbor;
-  /// Run the insertion phase (step 6) through the reference O(|P|^2 * deg)
-  /// implementation: full f_N rescans every round, whole-tour finish
-  /// recomputation and a mid-vector pending erase per insertion. The
-  /// default incremental path is bit-identical; the legacy path is kept so
-  /// tests can memcmp the two (see tests/appro_incremental_test.cpp).
-  bool legacy_insertion = false;
   /// Per-MCV energy budget the fleet will execute under (disabled by
   /// default — the planner is then byte-identical to the budget-free
   /// one). When enabled, step 5's K-tour split also cuts on each

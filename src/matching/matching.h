@@ -8,22 +8,12 @@
 //    on a materialized (n+1)^2 weight matrix.
 //  * sparse blossom (matching/blossom.h): exact price-and-repair solver
 //    on a k-NN candidate graph, certified optimal against the complete
-//    graph by a SIMD pricing pass over the final duals. The default
-//    geometric engine — same answers as dense, small fraction of the
-//    cost at large n.
-//  * local search: greedy nearest-pair construction followed by repeated
-//    2-exchange improvement to a local optimum; the fallback beyond
-//    kBlossomLimit and a comparison point in the micro benches (within
-//    ~2% of optimal on Euclidean inputs).
+//    graph by a SIMD pricing pass over the final duals — same answers as
+//    dense, a small fraction of the cost at large n.
 //
-// Geometric callers (Christofides odd-vertex matching) should use
-// min_weight_euclidean_matching, which keeps Christofides' real
-// 1.5-approx guarantee intact up to kBlossomLimit = 4096 vertices — the
-// sparse engine covers every paper-scale instance exactly; only beyond
-// that does the heuristic local search take over. The generic WeightFn
-// dispatch (min_weight_perfect_matching) cannot use the sparse engine
-// (no geometry to prune with) and caps the dense engine at
-// kDenseBlossomLimit to bound its O(n^2) weight matrix.
+// min_weight_euclidean_matching routes on size alone, and every engine it
+// reaches is exact, so Christofides keeps its 1.5-approximation at every
+// size.
 #pragma once
 
 #include <algorithm>
@@ -47,41 +37,13 @@ using Matching = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 /// assert: 2^n states are materialized).
 inline constexpr std::size_t kExactLimit = 16;
 
-/// Largest n routed to an exact blossom engine on geometric instances;
-/// above this the 2-exchange local search takes over. 4096 covers every
-/// odd-vertex set the paper-scale Christofides runs produce, so the
-/// 1.5-approximation guarantee holds throughout the evaluated range.
-inline constexpr std::size_t kBlossomLimit = 4096;
-
-/// Largest n routed to the DENSE blossom engine from the generic
-/// (non-geometric) dispatch: the dense engine materializes an (n+1)^2
-/// int64 weight matrix, so it is kept to instances where that footprint
-/// is trivial. Geometric callers are not affected (the sparse engine
-/// handles them up to kBlossomLimit).
-inline constexpr std::size_t kDenseBlossomLimit = 256;
-
-/// Below this size kAuto prefers the dense engine over the sparse one:
-/// the sparse engine's candidate-build + multi-round pricing overhead
-/// only amortizes once the (n+1)^2 dense solve is expensive enough
-/// (measured crossover ~128-256 on uniform fields; see EXPERIMENTS.md).
-/// Both engines return the identical matching, so this is purely a
-/// latency knob.
+/// Below this size the dispatch prefers the dense engine over the sparse
+/// one: the sparse engine's candidate-build + multi-round pricing
+/// overhead only amortizes once the (n+1)^2 dense solve is expensive
+/// enough (measured crossover ~128-256 on uniform fields; see
+/// EXPERIMENTS.md). Both engines return the identical matching, so this
+/// is purely a latency choice.
 inline constexpr std::size_t kSparseCrossover = 128;
-
-/// Which matching engine to run on geometric instances.
-enum class MatchingEngine : std::uint8_t {
-  kAuto = 0,       ///< size-based: DP, sparse blossom, local search
-  kExactDp,        ///< bitmask DP (n <= kExactLimit enforced by the DP)
-  kDenseBlossom,   ///< dense O(n^3) blossom, exact
-  kSparseBlossom,  ///< sparse price-and-repair blossom, exact
-  kLocalSearch,    ///< greedy + 2-exchange heuristic
-};
-
-struct MatchingOptions {
-  MatchingEngine engine = MatchingEngine::kAuto;
-  /// Candidate-graph neighbor count for the sparse engine (>= 1).
-  int knn = 8;
-};
 
 /// Exact minimum-weight perfect matching by bitmask DP. Requires even n,
 /// n <= kExactLimit (asserted; 2^n states are materialized). A template
@@ -133,24 +95,13 @@ Matching exact_min_weight_matching(std::size_t n, Weight&& weight) {
   return result;
 }
 
-/// Greedy + 2-exchange local-search matching. Requires even n.
-Matching local_search_matching(std::size_t n, const WeightFn& weight);
-
-/// Generic dispatch by size: exact DP (n <= kExactLimit), dense blossom
-/// (n <= kDenseBlossomLimit), local search beyond. Prefer
-/// min_weight_euclidean_matching when coordinates are available.
-Matching min_weight_perfect_matching(std::size_t n, const WeightFn& weight);
-
 /// Geometric dispatch: minimum-weight perfect matching on `pts` (even
-/// count) under Euclidean distance, engine per `opts`. kAuto routes
-/// n <= kExactLimit to the DP, n < kSparseCrossover to the dense
-/// blossom, n <= kBlossomLimit to the sparse blossom, local search
-/// beyond. Both blossom engines share one quantized objective with
-/// deterministic tie-breaking, so forcing kDenseBlossom vs
-/// kSparseBlossom yields identical matchings — the crossover is purely
-/// a latency choice.
-Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts,
-                                       const MatchingOptions& opts = {});
+/// count) under Euclidean distance. n <= kExactLimit runs the DP,
+/// n < kSparseCrossover the dense blossom, and every larger n the sparse
+/// blossom. Both blossom engines share one quantized objective with
+/// deterministic tie-breaking, so they return identical matchings — the
+/// crossover is purely a latency choice.
+Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts);
 
 /// Sum of edge weights in a matching.
 double matching_weight(const Matching& m, const WeightFn& weight);

@@ -153,8 +153,7 @@ Tour double_tree_tour(const TourProblem& problem) {
   return cycle_to_tour(shortcut(walk, n));
 }
 
-Tour christofides_tour(const TourProblem& problem,
-                       const matching::MatchingOptions& matching) {
+Tour christofides_tour(const TourProblem& problem) {
   const std::size_t n = problem.size() + 1;
   if (problem.size() == 0) return {};
   if (problem.size() == 1) return {0};
@@ -174,15 +173,15 @@ Tour christofides_tour(const TourProblem& problem,
     if (degree[v] % 2 == 1) odd.push_back(v);
   }
   // Handshake lemma: |odd| is even. Match on the odd vertices'
-  // coordinates so the geometric engines (sparse blossom by default)
-  // apply; the distance cache serves exactly geom::distance bits, so
-  // the quantized objective matches the cached metric.
+  // coordinates so the geometric engines apply; the distance cache
+  // serves exactly geom::distance bits, so the quantized objective
+  // matches the cached metric.
   std::vector<geom::Point> odd_pts;
   odd_pts.reserve(odd.size());
   for (const std::uint32_t v : odd) {
     odd_pts.push_back(v == 0 ? problem.depot : problem.sites[v - 1]);
   }
-  const auto match = matching::min_weight_euclidean_matching(odd_pts, matching);
+  const auto match = matching::min_weight_euclidean_matching(odd_pts);
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> multigraph;
   multigraph.reserve(mst.size() + match.size());
@@ -193,8 +192,7 @@ Tour christofides_tour(const TourProblem& problem,
   return cycle_to_tour(shortcut(walk, n));
 }
 
-Tour build_tour(const TourProblem& problem, TourBuilder builder,
-                const matching::MatchingOptions& matching) {
+Tour build_tour(const TourProblem& problem, TourBuilder builder) {
   switch (builder) {
     case TourBuilder::kNearestNeighbor:
       return nearest_neighbor_tour(problem);
@@ -203,7 +201,7 @@ Tour build_tour(const TourProblem& problem, TourBuilder builder,
     case TourBuilder::kDoubleTree:
       return double_tree_tour(problem);
     case TourBuilder::kChristofides:
-      return christofides_tour(problem, matching);
+      return christofides_tour(problem);
   }
   MCHARGE_ASSERT(false, "unknown tour builder");
   return {};

@@ -5,7 +5,6 @@
 // returned order is the cycle cut at the depot.
 #pragma once
 
-#include "matching/matching.h"
 #include "tsp/tour_problem.h"
 
 namespace mcharge::tsp {
@@ -22,14 +21,11 @@ Tour greedy_edge_tour(const TourProblem& problem);
 Tour double_tree_tour(const TourProblem& problem);
 /// Christofides: MST + minimum-weight matching on the odd-degree
 /// vertices + Euler shortcut. The matching runs on the odd vertices'
-/// coordinates through the geometric engine dispatch, so `matching`
-/// selects the engine (exact blossom up to matching::kBlossomLimit odd
-/// vertices by default — the 1.5-approximation holds throughout).
-Tour christofides_tour(const TourProblem& problem,
-                       const matching::MatchingOptions& matching = {});
+/// coordinates through matching::min_weight_euclidean_matching, which is
+/// exact at every size, so the 1.5-approximation holds throughout.
+Tour christofides_tour(const TourProblem& problem);
 
-/// Dispatch on TourBuilder; `matching` applies to kChristofides only.
-Tour build_tour(const TourProblem& problem, TourBuilder builder,
-                const matching::MatchingOptions& matching = {});
+/// Dispatch on TourBuilder.
+Tour build_tour(const TourProblem& problem, TourBuilder builder);
 
 }  // namespace mcharge::tsp

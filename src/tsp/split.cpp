@@ -154,7 +154,7 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
   // One O(m^2) distance build serves construction, improvement, and
   // splitting below; every travel() call after this is a table read.
   problem.ensure_distance_cache();
-  Tour tour = build_tour(problem, options.builder, options.matching);
+  Tour tour = build_tour(problem, options.builder);
   improve_tour(problem, tour, options.improve);
   SplitResult result = split_min_max(problem, tour, k, options.energy);
   if (options.improve_segments) {

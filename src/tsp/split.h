@@ -55,9 +55,6 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
 
 struct MinMaxTourOptions {
   TourBuilder builder = TourBuilder::kChristofides;
-  /// Odd-vertex matching engine for kChristofides (sparse blossom by
-  /// default; forcing dense yields byte-identical tours).
-  matching::MatchingOptions matching;
   ImproveOptions improve;       ///< applied to the global tour before split
   bool improve_segments = true; ///< 2-opt each segment after splitting
   /// Per-segment energy cap forwarded to split_min_max. Disabled by

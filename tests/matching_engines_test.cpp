@@ -7,25 +7,19 @@
 // random geometric, clustered, collinear, duplicate-point, and the real
 // odd-vertex sets Christofides produces at paper scales. Where the
 // instance is small enough, both are also cross-checked against the
-// exact bitmask DP on the real-valued objective. Finally, full Appro
-// plans must be byte-identical under engine = dense vs sparse, across
-// every SIMD backend this machine supports.
+// exact bitmask DP on the real-valued objective. Finally, the size-based
+// dispatch must return exactly what the engine of each size band returns.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
-#include "core/appro.h"
 #include "geometry/field.h"
 #include "geometry/point.h"
 #include "graph/mst.h"
 #include "matching/blossom.h"
 #include "matching/matching.h"
-#include "model/charging_problem.h"
-#include "schedule/scheduler.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace mcharge::matching {
 namespace {
@@ -173,35 +167,24 @@ TEST(EnginesChristofides, RealOddVertexSetsAtPaperScales) {
   }
 }
 
-TEST(EnginesDispatch, AutoMatchesForcedEngines) {
+TEST(EnginesDispatch, EachSizeBandReturnsItsEngine) {
+  // The last size of each band and the first of the next: the DP up to
+  // kExactLimit, the dense blossom below kSparseCrossover, sparse above.
+  static_assert(kExactLimit == 16 && kSparseCrossover == 128);
   Rng rng(55);
-  const auto small = geom::uniform_field(12, 100.0, 100.0, rng);
-  const auto w_small = euclidean(small);
-  // kAuto at n <= kExactLimit routes to the DP.
-  const auto auto_small = min_weight_euclidean_matching(small);
-  EXPECT_EQ(matching_weight(auto_small, w_small),
-            matching_weight(exact_min_weight_matching(12, w_small), w_small));
-
-  const auto mid = geom::uniform_field(120, 100.0, 100.0, rng);
-  // kAuto above kExactLimit routes to a blossom engine (dense below
-  // kSparseCrossover, sparse up to kBlossomLimit); either way the result
-  // must equal the sparse engine's, since the engines are identical.
-  const auto auto_mid = min_weight_euclidean_matching(mid);
-  EXPECT_EQ(auto_mid, sparse_blossom_euclidean_matching(mid));
-  const auto big = geom::uniform_field(
-      2 * kSparseCrossover, 100.0, 100.0, rng);
-  EXPECT_EQ(min_weight_euclidean_matching(big),
-            sparse_blossom_euclidean_matching(big));
-  MatchingOptions force_dense;
-  force_dense.engine = MatchingEngine::kDenseBlossom;
-  EXPECT_EQ(auto_mid, min_weight_euclidean_matching(mid, force_dense));
-  MatchingOptions local;
-  local.engine = MatchingEngine::kLocalSearch;
-  const auto heuristic = min_weight_euclidean_matching(mid, local);
-  EXPECT_TRUE(is_perfect_matching(120, heuristic));
-  const auto w_mid = euclidean(mid);
-  EXPECT_LE(matching_weight(auto_mid, w_mid),
-            matching_weight(heuristic, w_mid) + 1e-9);
+  const auto field = [&rng](std::size_t n) {
+    return geom::uniform_field(n, 100.0, 100.0, rng);
+  };
+  const auto p16 = field(16), p18 = field(18);
+  const auto p126 = field(126), p128 = field(128);
+  EXPECT_EQ(min_weight_euclidean_matching(p16),
+            exact_min_weight_matching(16, euclidean(p16)));
+  EXPECT_EQ(min_weight_euclidean_matching(p18),
+            dense_blossom_euclidean_matching(p18));
+  EXPECT_EQ(min_weight_euclidean_matching(p126),
+            dense_blossom_euclidean_matching(p126));
+  EXPECT_EQ(min_weight_euclidean_matching(p128),
+            sparse_blossom_euclidean_matching(p128));
 }
 
 TEST(EnginesDispatch, SparseKnnInsensitive) {
@@ -251,74 +234,6 @@ TEST_P(EnginesWarmStart, ManyPricingRoundsStayExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnginesWarmStart, ::testing::Range(0, 8));
-
-// ---------- full-plan byte identity ----------
-
-/// Pins a backend for a scope; restores the previous one on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(simd::Backend b) : prev_(simd::active_backend()) {
-    active_ = simd::set_backend(b);
-  }
-  ~BackendGuard() { simd::set_backend(prev_); }
-  simd::Backend active() const { return active_; }
-
- private:
-  simd::Backend prev_;
-  simd::Backend active_;
-};
-
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    BackendGuard guard(b);
-    if (guard.active() == b) out.push_back(b);
-  }
-  return out;
-}
-
-/// Flat byte image of a plan (tour sites length-prefixed per tour).
-std::vector<std::uint64_t> serialize(const sched::ChargingPlan& plan) {
-  std::vector<std::uint64_t> out;
-  out.push_back(plan.tours.size());
-  for (const auto& tour : plan.tours) {
-    out.push_back(tour.size());
-    for (const auto v : tour) out.push_back(v);
-  }
-  return out;
-}
-
-TEST(EnginesPlan, ByteIdenticalAcrossEnginesAndBackends) {
-  Rng rng(4242);
-  std::vector<geom::Point> pts;
-  std::vector<double> deficits;
-  for (std::size_t i = 0; i < 400; ++i) {
-    pts.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
-    deficits.push_back(rng.uniform(3456.0, 5400.0));
-  }
-  const model::ChargingProblem problem(std::move(pts), std::move(deficits),
-                                       {50.0, 50.0}, 2.7, 1.0, 3);
-
-  core::ApproOptions dense_opts;
-  dense_opts.tour.matching.engine = MatchingEngine::kDenseBlossom;
-  core::ApproOptions sparse_opts;
-  sparse_opts.tour.matching.engine = MatchingEngine::kSparseBlossom;
-
-  std::vector<std::uint64_t> reference;
-  {
-    BackendGuard guard(simd::Backend::kScalar);
-    reference = serialize(core::ApproScheduler(dense_opts).plan(problem));
-  }
-  for (const simd::Backend b : supported_backends()) {
-    BackendGuard guard(b);
-    const auto dense_plan =
-        serialize(core::ApproScheduler(dense_opts).plan(problem));
-    const auto sparse_plan =
-        serialize(core::ApproScheduler(sparse_opts).plan(problem));
-    EXPECT_EQ(reference, dense_plan) << "backend=" << static_cast<int>(b);
-    EXPECT_EQ(reference, sparse_plan) << "backend=" << static_cast<int>(b);
-  }
-}
 
 }  // namespace
 }  // namespace mcharge::matching

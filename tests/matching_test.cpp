@@ -1,8 +1,10 @@
 // Tests for minimum-weight perfect matching: exact DP vs brute force, and
-// local-search quality vs the exact optimum on small instances.
+// the dense blossom engine vs the exact DP, on geometric instances and (fed
+// to the blossom core directly) on adversarial integer weights.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "geometry/field.h"
 #include "geometry/point.h"
 #include "matching/blossom.h"
+#include "matching/blossom_core.h"
 #include "matching/matching.h"
 #include "util/rng.h"
 
@@ -52,6 +55,44 @@ WeightFn euclidean(const std::vector<geom::Point>& pts) {
   };
 }
 
+/// The dense blossom core on arbitrary weights: costs are quantized onto
+/// [1, kBlossomResolution + 1] and negated into strictly positive
+/// profits, so the maximum-profit matching is a minimum-cost perfect one.
+Matching dense_core_matching(std::size_t n, const WeightFn& weight) {
+  if (n == 0) return {};
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t v = u + 1; v < n; ++v) {
+      lo = std::min(lo, weight(u, v));
+      hi = std::max(hi, weight(u, v));
+    }
+  }
+  const double scale =
+      static_cast<double>(kBlossomResolution) / (hi > lo ? hi - lo : 1.0);
+  detail::BlossomArena& arena = detail::thread_arena();
+  detail::DenseStore store(static_cast<int>(n), arena);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (std::uint32_t v = u + 1; v < n; ++v) {
+      const auto cost =
+          static_cast<std::int64_t>(std::llround((weight(u, v) - lo) * scale));
+      store.set2(static_cast<int>(u) + 1, static_cast<int>(v) + 1,
+                 2 * (kBlossomResolution + 1 - cost));
+    }
+  }
+  detail::BlossomCore<detail::DenseStore> core(static_cast<int>(n), store,
+                                              arena);
+  core.solve();
+  Matching result;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const int mate = core.partner(static_cast<int>(v) + 1);
+    if (mate >= 1 && v < static_cast<std::uint32_t>(mate - 1)) {
+      result.emplace_back(v, static_cast<std::uint32_t>(mate - 1));
+    }
+  }
+  return result;
+}
+
 TEST(ExactMatching, EmptyAndPair) {
   const auto none = exact_min_weight_matching(0, [](auto, auto) { return 1.0; });
   EXPECT_TRUE(none.empty());
@@ -82,37 +123,12 @@ TEST_P(ExactVsBrute, SameOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactVsBrute, ::testing::Range(0, 12));
 
-class LocalSearchQuality : public ::testing::TestWithParam<int> {};
-
-TEST_P(LocalSearchQuality, PerfectAndNearOptimal) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 3);
-  const std::size_t n = 2 * (2 + rng.below(6));  // 4..14
-  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const auto w = euclidean(pts);
-  const auto m = local_search_matching(n, w);
-  ASSERT_TRUE(is_perfect_matching(n, m));
-  const double opt = brute_force_weight(n, w);
-  // 2-exchange local optimum on Euclidean inputs is empirically within a
-  // small factor of optimal; assert a generous 1.25 bound.
-  EXPECT_LE(matching_weight(m, w), 1.25 * opt + 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, LocalSearchQuality, ::testing::Range(0, 12));
-
-TEST(LocalSearchMatching, LargeInstanceIsPerfect) {
-  Rng rng(5);
-  const std::size_t n = 300;
-  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const auto m = local_search_matching(n, euclidean(pts));
-  EXPECT_TRUE(is_perfect_matching(n, m));
-}
-
 TEST(Dispatch, UsesExactBelowLimit) {
   Rng rng(9);
   const std::size_t n = kExactLimit;
   const auto pts = geom::uniform_field(n, 50.0, 50.0, rng);
   const auto w = euclidean(pts);
-  const auto dispatched = min_weight_perfect_matching(n, w);
+  const auto dispatched = min_weight_euclidean_matching(pts);
   const auto exact = exact_min_weight_matching(n, w);
   EXPECT_NEAR(matching_weight(dispatched, w), matching_weight(exact, w), 1e-9);
 }
@@ -120,16 +136,17 @@ TEST(Dispatch, UsesExactBelowLimit) {
 // ---------- blossom ----------
 
 TEST(Blossom, EmptyAndPair) {
-  EXPECT_TRUE(
-      blossom_min_weight_matching(0, [](auto, auto) { return 1.0; }).empty());
-  const auto pair =
-      blossom_min_weight_matching(2, [](auto, auto) { return 3.0; });
+  EXPECT_TRUE(dense_core_matching(0, [](auto, auto) { return 1.0; }).empty());
+  const auto pair = dense_core_matching(2, [](auto, auto) { return 3.0; });
   EXPECT_TRUE(is_perfect_matching(2, pair));
+  EXPECT_TRUE(dense_blossom_euclidean_matching({}).empty());
+  const std::vector<geom::Point> two{{0, 0}, {3, 4}};
+  EXPECT_TRUE(is_perfect_matching(2, dense_blossom_euclidean_matching(two)));
 }
 
 TEST(Blossom, FourPointsChoosesCheapPairs) {
   const std::vector<geom::Point> pts{{0, 0}, {0, 1}, {100, 0}, {100, 1}};
-  const auto m = blossom_min_weight_matching(4, euclidean(pts));
+  const auto m = dense_blossom_euclidean_matching(pts);
   EXPECT_TRUE(is_perfect_matching(4, m));
   EXPECT_NEAR(matching_weight(m, euclidean(pts)), 2.0, 1e-3);
 }
@@ -141,7 +158,7 @@ TEST_P(BlossomVsExactDp, GeometricInstances) {
   const std::size_t n = 2 * (1 + rng.below(8));  // 2..16
   const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
   const auto w = euclidean(pts);
-  const auto blossom = blossom_min_weight_matching(n, w);
+  const auto blossom = dense_blossom_euclidean_matching(pts);
   ASSERT_TRUE(is_perfect_matching(n, blossom));
   const auto exact = exact_min_weight_matching(n, w);
   // Quantization can cost at most (range / resolution) per pair.
@@ -169,7 +186,7 @@ TEST_P(BlossomVsExactDpAdversarial, RandomIntegerWeights) {
   const WeightFn fn = [&](std::uint32_t a, std::uint32_t b) {
     return w[a][b];
   };
-  const auto blossom = blossom_min_weight_matching(n, fn);
+  const auto blossom = dense_core_matching(n, fn);
   ASSERT_TRUE(is_perfect_matching(n, blossom));
   const auto exact = exact_min_weight_matching(n, fn);
   const double tolerance =
@@ -181,18 +198,6 @@ TEST_P(BlossomVsExactDpAdversarial, RandomIntegerWeights) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BlossomVsExactDpAdversarial,
                          ::testing::Range(0, 30));
 
-TEST(Blossom, LargeGeometricInstanceBeatsLocalSearchOrTies) {
-  Rng rng(77);
-  const std::size_t n = 200;
-  const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
-  const auto w = euclidean(pts);
-  const auto exact = blossom_min_weight_matching(n, w);
-  ASSERT_TRUE(is_perfect_matching(n, exact));
-  const auto heuristic = local_search_matching(n, w);
-  EXPECT_LE(matching_weight(exact, w),
-            matching_weight(heuristic, w) + 1e-3);
-}
-
 TEST(Blossom, AtTheDpFrontier) {
   // n = 14 and kExactLimit: the largest sizes the DP can certify (the DP
   // asserts n <= kExactLimit, matching its dispatch threshold).
@@ -200,7 +205,7 @@ TEST(Blossom, AtTheDpFrontier) {
     Rng rng(n * 977 + 5);
     const auto pts = geom::uniform_field(n, 100.0, 100.0, rng);
     const auto w = euclidean(pts);
-    const auto blossom = blossom_min_weight_matching(n, w);
+    const auto blossom = dense_blossom_euclidean_matching(pts);
     const auto exact = exact_min_weight_matching(n, w);
     const double tolerance =
         n * 150.0 / static_cast<double>(kBlossomResolution) + 1e-9;
@@ -222,14 +227,13 @@ TEST(Blossom, ClusteredPointsWithManyTies) {
     }
   }
   const auto w = euclidean(pts);
-  const auto blossom = blossom_min_weight_matching(pts.size(), w);
+  const auto blossom = dense_blossom_euclidean_matching(pts);
   const auto exact = exact_min_weight_matching(pts.size(), w);
   EXPECT_NEAR(matching_weight(blossom, w), matching_weight(exact, w), 1e-2);
 }
 
 TEST(Blossom, AllEqualWeights) {
-  const auto m =
-      blossom_min_weight_matching(10, [](auto, auto) { return 5.0; });
+  const auto m = dense_core_matching(10, [](auto, auto) { return 5.0; });
   EXPECT_TRUE(is_perfect_matching(10, m));
 }
 
