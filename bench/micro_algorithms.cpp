@@ -164,7 +164,6 @@ void BM_ChristofidesMatching(benchmark::State& state) {
   // Christofides run produces over arg0 uniform sites (the odd set is
   // roughly 40% of the sites); arg1 = engine as in BM_Blossom.
   const auto p = make_tour_problem(static_cast<std::size_t>(state.range(0)), 6);
-  p.ensure_distance_cache();
   std::vector<geom::Point> vertices = p.sites;
   vertices.insert(vertices.begin(), p.depot);
   const auto mst =
@@ -205,7 +204,6 @@ void BM_TwoOpt(benchmark::State& state) {
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
   const auto base = tsp::nearest_neighbor_tour(p);
-  p.drop_distance_cache();  // measure the uncached (on-the-fly) hot path
   for (auto _ : state) {
     auto tour = base;
     benchmark::DoNotOptimize(tsp::two_opt(p, tour));
@@ -213,44 +211,16 @@ void BM_TwoOpt(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoOpt)->Arg(50)->Arg(150)->Arg(350)->Arg(1200);
 
-void BM_TwoOptCached(benchmark::State& state) {
-  // Identical workload to BM_TwoOpt, but served from the precomputed
-  // distance matrix. Produces bit-identical tours; the delta between the
-  // two benches is pure distance-recomputation overhead.
-  const auto p =
-      make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  const auto base = tsp::nearest_neighbor_tour(p);
-  p.ensure_distance_cache();
-  for (auto _ : state) {
-    auto tour = base;
-    benchmark::DoNotOptimize(tsp::two_opt(p, tour));
-  }
-}
-BENCHMARK(BM_TwoOptCached)->Arg(50)->Arg(150)->Arg(350)->Arg(1200);
-
 void BM_OrOpt(benchmark::State& state) {
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
   const auto base = tsp::nearest_neighbor_tour(p);
-  p.drop_distance_cache();
   for (auto _ : state) {
     auto tour = base;
     benchmark::DoNotOptimize(tsp::or_opt(p, tour));
   }
 }
 BENCHMARK(BM_OrOpt)->Arg(50)->Arg(150)->Arg(350);
-
-void BM_OrOptCached(benchmark::State& state) {
-  const auto p =
-      make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  const auto base = tsp::nearest_neighbor_tour(p);
-  p.ensure_distance_cache();
-  for (auto _ : state) {
-    auto tour = base;
-    benchmark::DoNotOptimize(tsp::or_opt(p, tour));
-  }
-}
-BENCHMARK(BM_OrOptCached)->Arg(50)->Arg(150)->Arg(350);
 
 void BM_ImproveTour(benchmark::State& state) {
   // The K-minMax / Appro step-5 improvement as the planner runs it: 2-opt
@@ -259,7 +229,6 @@ void BM_ImproveTour(benchmark::State& state) {
   // never show.
   const auto p =
       make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  p.ensure_distance_cache();
   const auto base = tsp::christofides_tour(p);
   for (auto _ : state) {
     auto tour = base;
@@ -268,37 +237,9 @@ void BM_ImproveTour(benchmark::State& state) {
 }
 BENCHMARK(BM_ImproveTour)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-void BM_DistanceCacheBuild(benchmark::State& state) {
-  const auto p =
-      make_tour_problem(static_cast<std::size_t>(state.range(0)), 7);
-  for (auto _ : state) {
-    p.drop_distance_cache();
-    p.ensure_distance_cache();
-    benchmark::DoNotOptimize(p.distance(0, 1));
-  }
-}
-BENCHMARK(BM_DistanceCacheBuild)->Arg(50)->Arg(150)->Arg(350)->Arg(1200);
-
 // Raw kernel throughput of the SIMD layer (util/simd.h), independent of
 // the TourProblem plumbing. The active backend is whatever dispatch
 // picked (override with MCHARGE_SIMD=scalar|avx2|avx512 to compare).
-
-void BM_SimdDistanceMatrix(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  std::vector<double> xs(m), ys(m), out(m * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    xs[i] = rng.uniform(0.0, 100.0);
-    ys[i] = rng.uniform(0.0, 100.0);
-  }
-  for (auto _ : state) {
-    simd::distance_matrix(xs.data(), ys.data(), m, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetLabel(simd::backend_name(simd::active_backend()));
-}
-BENCHMARK(BM_SimdDistanceMatrix)->Arg(350)->Arg(1200);
 
 void BM_SimdArgminScan(benchmark::State& state) {
   // Fused distance + lowest-index argmin against a fixed query point, the

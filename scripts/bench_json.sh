@@ -24,9 +24,9 @@ FILTER=""
 for arg in "$@"; do
   case "$arg" in
     --quick)
-      # The distance-cache, simd-kernel, parallel-sweep, planner-hot-path
+      # The local-search, simd-kernel, parallel-sweep, planner-hot-path
       # and simulator-loop trajectory benches.
-      FILTER="--benchmark_filter=BM_(TwoOpt|TwoOptCached|OrOpt|OrOptCached|DistanceCacheBuild|SimdDistanceMatrix|SimdArgminScan|ParallelSweep|ApproPlan|PlanSmallBatch|MinMaxKTours|Simulate)" ;;
+      FILTER="--benchmark_filter=BM_(TwoOpt|OrOpt|SimdArgminScan|ParallelSweep|ApproPlan|PlanSmallBatch|MinMaxKTours|Simulate)" ;;
     --filter=*)
       FILTER="--benchmark_filter=${arg#--filter=}" ;;
     *)

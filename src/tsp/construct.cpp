@@ -15,8 +15,7 @@ namespace mcharge::tsp {
 namespace {
 
 // Internally the TSP runs over m+1 vertices: 0 is the depot, vertex v >= 1
-// is site v-1. Distances are served from the problem's cache (the public
-// entry points ensure it below).
+// is site v-1.
 double vertex_distance(const TourProblem& p, std::uint32_t a, std::uint32_t b) {
   if (a == 0) return b == 0 ? 0.0 : p.distance_depot(b - 1);
   if (b == 0) return p.distance_depot(a - 1);
@@ -62,22 +61,28 @@ std::vector<std::uint32_t> shortcut(const std::vector<std::uint32_t>& walk,
 
 Tour nearest_neighbor_tour(const TourProblem& problem) {
   const std::size_t m = problem.size();
-  problem.ensure_distance_cache();
   if (m <= 1) return m == 0 ? Tour{} : Tour{0};
+  // Each step is a masked lowest-index argmin of the distances from the
+  // current point (the depot for the first hop) over SoA copies of the
+  // sites — the simd kernel reproduces a strict-< scan of geom::distance
+  // bit for bit, ties included.
+  std::vector<double> xs(m), ys(m);
+  for (std::size_t v = 0; v < m; ++v) {
+    xs[v] = problem.sites[v].x;
+    ys[v] = problem.sites[v].y;
+  }
   Tour tour;
   tour.reserve(m);
-  // Each step is a masked lowest-index argmin over a contiguous cache row
-  // (the depot vector for the first hop) — the simd kernel reproduces the
-  // scalar strict-< scan bit for bit, ties included.
   std::vector<unsigned char> visited(m, 0);
-  const double* row = problem.depot_distance_ptr();
+  geom::Point at = problem.depot;
   for (std::size_t step = 0; step < m; ++step) {
-    const simd::ArgMin pick = simd::argmin_masked(row, visited.data(), m);
+    const simd::ArgMin pick = simd::argmin_distance_masked(
+        xs.data(), ys.data(), m, at.x, at.y, visited.data());
     MCHARGE_ASSERT(pick.index != simd::kNpos, "unvisited site must exist");
     const auto best_v = static_cast<SiteId>(pick.index);
     visited[best_v] = 1;
     tour.push_back(best_v);
-    row = problem.distance_row_ptr(best_v);
+    at = problem.sites[best_v];
   }
   return tour;
 }
@@ -86,7 +91,6 @@ Tour greedy_edge_tour(const TourProblem& problem) {
   const std::size_t n = problem.size() + 1;  // vertices incl. depot
   if (problem.size() == 0) return {};
   if (problem.size() == 1) return {0};
-  problem.ensure_distance_cache();
 
   // Sort all vertex pairs by distance; accept an edge if both endpoints
   // have degree < 2 and it does not close a subtour prematurely.
@@ -139,7 +143,6 @@ Tour greedy_edge_tour(const TourProblem& problem) {
 Tour double_tree_tour(const TourProblem& problem) {
   const std::size_t n = problem.size() + 1;
   if (problem.size() == 0) return {};
-  problem.ensure_distance_cache();
   auto mst = graph::prim_mst(n, [&](std::uint32_t a, std::uint32_t b) {
     return vertex_distance(problem, a, b);
   });
@@ -157,7 +160,6 @@ Tour christofides_tour(const TourProblem& problem) {
   const std::size_t n = problem.size() + 1;
   if (problem.size() == 0) return {};
   if (problem.size() == 1) return {0};
-  problem.ensure_distance_cache();
 
   auto mst = graph::prim_mst(n, [&](std::uint32_t a, std::uint32_t b) {
     return vertex_distance(problem, a, b);
@@ -173,9 +175,8 @@ Tour christofides_tour(const TourProblem& problem) {
     if (degree[v] % 2 == 1) odd.push_back(v);
   }
   // Handshake lemma: |odd| is even. Match on the odd vertices'
-  // coordinates so the geometric engines apply; the distance cache
-  // serves exactly geom::distance bits, so the quantized objective
-  // matches the cached metric.
+  // coordinates so the geometric engines apply; vertex_distance is
+  // geom::distance, so the quantized objective matches the tour metric.
   std::vector<geom::Point> odd_pts;
   odd_pts.reserve(odd.size());
   for (const std::uint32_t v : odd) {

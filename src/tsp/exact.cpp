@@ -30,7 +30,15 @@ struct HeldKarp {
 HeldKarp solve(const TourProblem& p) {
   const std::size_t m = p.size();
   MCHARGE_ASSERT(m <= kHeldKarpLimit, "Held-Karp limited to 20 sites");
-  p.ensure_distance_cache();
+  // The DP re-reads every pair O(2^m) times: tabulate the m x m travel
+  // times once.
+  std::vector<double> travel(m * m);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      travel[a * m + b] =
+          p.travel(static_cast<SiteId>(a), static_cast<SiteId>(b));
+    }
+  }
   HeldKarp hk;
   hk.m = m;
   const std::size_t states = (std::size_t{1} << m) * m;
@@ -48,8 +56,7 @@ HeldKarp solve(const TourProblem& p) {
       for (std::size_t next = 0; next < m; ++next) {
         if (mask & (1u << next)) continue;
         const std::uint32_t nmask = mask | (1u << next);
-        const double ncost = cost + p.travel(static_cast<SiteId>(last),
-                                             static_cast<SiteId>(next));
+        const double ncost = cost + travel[last * m + next];
         if (ncost < hk.at(nmask, next)) {
           hk.at(nmask, next) = ncost;
           hk.from(nmask, next) = static_cast<std::int32_t>(last);

@@ -32,9 +32,9 @@ inline double box_distance(double qx, double qy, double lox, double hix,
 namespace detail {
 
 // Recomputing a distance from the mirrored coordinates yields exactly the
-// bits a cache read (or geom::distance) would — the precondition for
-// routing the scans through util/simd.h, and why travel() can price every
-// leg the operators need without touching the O(m^2) distance cache.
+// bits geom::distance would — the precondition for routing the scans
+// through util/simd.h, and why travel() can price every leg the operators
+// need from the mirror alone.
 // tc[k] hoists the (k, k+1) leg out of the scans, removing a sqrt and a
 // divide per scanned element; every compared value keeps identical bits.
 void TourMirror::assign(const TourProblem& problem, const Tour& tour) {
@@ -85,7 +85,7 @@ double TourMirror::travel(std::ptrdiff_t a, std::ptrdiff_t b) const {
   const auto m = static_cast<std::ptrdiff_t>(tc.size());
   const auto pa = static_cast<std::size_t>(a < 0 || a > m ? m : a);
   const auto pb = static_cast<std::size_t>(b < 0 || b > m ? m : b);
-  // A pair the distance cache stores in the other order differs here only
+  // A pair TourProblem::travel reads in the other order differs here only
   // in the sign of dx and dy, which the squares erase exactly.
   const double dx = px[pa] - px[pb];
   const double dy = py[pa] - py[pb];

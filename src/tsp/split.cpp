@@ -1,15 +1,22 @@
 #include "tsp/split.h"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
 #include "util/assert.h"
-#include "util/simd.h"
 
 namespace mcharge::tsp {
 
 namespace {
+
+/// The two travel legs the split re-reads at tour position i: the depot
+/// leg of tour[i] and the leg from tour[i - 1] into tour[i] (0 at i == 0).
+/// split_min_max derives them once per split, so the budget probes below
+/// re-read each leg without recomputing a distance.
+struct Legs {
+  double depot;
+  double prev;
+};
 
 /// Greedily cuts `tour` into segments of delay <= budget, writing the
 /// tour index at which each segment starts into `starts` (a buffer the
@@ -17,7 +24,8 @@ namespace {
 /// grown). Returns true iff every site fits the budget on its own and the
 /// cut uses at most `k` segments; stops at the first site that settles
 /// the answer as false.
-bool greedy_cut(const TourProblem& p, const Tour& tour, double budget,
+bool greedy_cut(const TourProblem& p, const Tour& tour,
+                const std::vector<Legs>& legs, double budget,
                 const SegmentEnergyCap& cap, std::size_t k,
                 std::vector<std::size_t>& starts) {
   starts.clear();
@@ -29,45 +37,42 @@ bool greedy_cut(const TourProblem& p, const Tour& tour, double budget,
   double etravel = 0.0;
   double eservice = 0.0;
   for (std::size_t i = 0; i < tour.size(); ++i) {
-    const SiteId v = tour[i];
-    const double solo = 2.0 * p.travel_depot(v) + p.service[v];
+    const double service = p.service[tour[i]];
+    const double solo = 2.0 * legs[i].depot + service;
     if (solo > budget) return false;  // infeasible budget
     if (i == 0) {
       starts.push_back(0);
-      internal = p.service[v];
+      internal = service;
       etravel = 0.0;
-      eservice = p.service[v];
+      eservice = service;
       continue;
     }
     // Segments are contiguous runs of the tour: the open one starts at
     // tour[starts.back()] and ends at tour[i - 1].
-    const SiteId front = tour[starts.back()];
-    const SiteId back = tour[i - 1];
-    const double extended = p.travel_depot(front) + internal +
-                            p.travel(back, v) + p.service[v] +
-                            p.travel_depot(v);
+    const double front = legs[starts.back()].depot;
+    const double extended =
+        front + internal + legs[i].prev + service + legs[i].depot;
     bool fits = extended <= budget;
     if (fits && cap.enabled()) {
       // A single site over the cap is still admitted as its own segment
       // (the executor's budget machinery handles the overdraw); only
       // *extending* past the cap forces a cut.
       const double joules =
-          (p.travel_depot(front) + etravel + p.travel(back, v) +
-           p.travel_depot(v)) *
+          (front + etravel + legs[i].prev + legs[i].depot) *
               cap.travel_power_w +
-          (eservice + p.service[v]) * cap.service_power_w;
+          (eservice + service) * cap.service_power_w;
       fits = joules <= cap.budget_j;
     }
     if (fits) {
-      internal += p.travel(back, v) + p.service[v];
-      etravel += p.travel(back, v);
-      eservice += p.service[v];
+      internal += legs[i].prev + service;
+      etravel += legs[i].prev;
+      eservice += service;
     } else {
       if (starts.size() == k) return false;  // would need k + 1 segments
       starts.push_back(i);
-      internal = p.service[v];
+      internal = service;
       etravel = 0.0;
-      eservice = p.service[v];
+      eservice = service;
     }
   }
   return true;
@@ -86,46 +91,46 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   MCHARGE_ASSERT(k >= 1, "split requires k >= 1");
   MCHARGE_ASSERT(is_complete_tour(problem, tour),
                  "split requires a complete tour");
-  problem.ensure_distance_cache();
   SplitResult result;
   if (tour.empty()) {
     result.tours.assign(k, Tour{});
     return result;
   }
 
+  std::vector<Legs> legs(tour.size());
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    legs[i].depot = problem.travel_depot(tour[i]);
+    legs[i].prev = i == 0 ? 0.0 : problem.travel(tour[i - 1], tour[i]);
+  }
+
   // Lower bound: the hardest single site. Upper bound: whole tour as one.
   // The upper bound gets a relative nudge so that accumulation-order
   // floating-point noise cannot make the whole-tour budget "infeasible".
-  // Solo delays go through the simd max reduction — max is exact (no
-  // rounding), so any reduction order gives the scalar loop's bits.
-  std::vector<double> solo(tour.size());
-  for (std::size_t idx = 0; idx < tour.size(); ++idx) {
-    const SiteId v = tour[idx];
-    solo[idx] = 2.0 * problem.travel_depot(v) + problem.service[v];
+  double lo = 0.0;
+  for (std::size_t i = 0; i < tour.size(); ++i) {
+    lo = std::max(lo, 2.0 * legs[i].depot + problem.service[tour[i]]);
   }
-  const double lo0 = simd::max_reduce(solo.data(), solo.size());
-  double lo = std::max(0.0, lo0);
   double hi = std::max(lo, tour_delay(problem, tour));
   hi += 1e-9 * std::max(1.0, hi);
 
   SegmentEnergyCap use = cap;
   std::vector<std::size_t> best;   // segment starts of the winning cut
   std::vector<std::size_t> probe;  // scratch for the budget probes
-  bool feasible = greedy_cut(problem, tour, hi, use, k, best);
+  bool feasible = greedy_cut(problem, tour, legs, hi, use, k, best);
   if (use.enabled() && !feasible) {
     // The energy cap and the fleet size cannot both hold even at the
     // loosest delay budget: drop the cap (best effort — the executor's
     // budget machinery turns any residual overdraw into a recoverable,
     // cause-tagged abort) and redo the feasibility anchor.
     use = SegmentEnergyCap{};
-    feasible = greedy_cut(problem, tour, hi, use, k, best);
+    feasible = greedy_cut(problem, tour, legs, hi, use, k, best);
   }
   MCHARGE_ASSERT(feasible, "whole-tour budget must be feasible");
 
   // Binary search the smallest budget whose greedy cut uses <= k segments.
   for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (greedy_cut(problem, tour, mid, use, k, probe)) {
+    if (greedy_cut(problem, tour, legs, mid, use, k, probe)) {
       std::swap(best, probe);
       hi = mid;
     } else {
@@ -151,9 +156,6 @@ SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
     r.tours.assign(k, Tour{});
     return r;
   }
-  // One O(m^2) distance build serves construction, improvement, and
-  // splitting below; every travel() call after this is a table read.
-  problem.ensure_distance_cache();
   Tour tour = build_tour(problem, options.builder);
   improve_tour(problem, tour, options.improve);
   SplitResult result = split_min_max(problem, tour, k, options.energy);

@@ -27,15 +27,12 @@ struct TourProblem {
 
   std::size_t size() const { return sites.size(); }
 
-  /// Euclidean distance between two sites, read from the distance cache
-  /// when one is built (bitwise-identical either way).
+  /// Euclidean distance between two sites.
   double distance(SiteId a, SiteId b) const {
-    if (!site_dist_.empty()) return site_dist_[a * sites.size() + b];
     return geom::distance(sites[a], sites[b]);
   }
   /// Euclidean distance between the depot and a site.
   double distance_depot(SiteId a) const {
-    if (!depot_dist_.empty()) return depot_dist_[a];
     return geom::distance(depot, sites[a]);
   }
 
@@ -44,51 +41,9 @@ struct TourProblem {
   /// Travel time between the depot and a site.
   double travel_depot(SiteId a) const { return distance_depot(a) / speed; }
 
-  /// Builds the O(m^2) symmetric site-distance matrix, the depot distance
-  /// vector and an SoA (x[], y[]) mirror of `sites` if absent (or stale in
-  /// size after sites changed). The matrix is filled row-wise with the
-  /// simd::distance_row kernel; every entry is bitwise identical to
-  /// geom::distance. For m <= 1 the build is a cheap no-op (no
-  /// allocation): there are no site pairs to cache and distance queries
-  /// fall through to on-the-fly geometry.
-  /// The tour algorithms (construct / split / exact entry points) call
-  /// this themselves; direct users of two_opt / or_opt opt in explicitly.
-  /// Mutating `sites` or `depot` IN PLACE (same size) is invisible to the
-  /// staleness check — call drop_distance_cache() first. (Audited call
-  /// sites — appro, kminmax, greedy_cover — only populate `sites` before
-  /// the first cache build.) Not safe to call concurrently on a shared
-  /// instance; build before handing the problem to other threads.
-  void ensure_distance_cache() const;
-  /// Discards the cache; travel queries fall back to on-the-fly geometry.
-  void drop_distance_cache() const;
-  /// True once ensure_distance_cache() ran for the current site count —
-  /// including for m == 0 / m == 1, where the build allocates nothing.
-  bool has_distance_cache() const {
-    return cache_built_ && cached_m_ == sites.size();
-  }
-
-  /// Raw cache rows for kernel scans; nullptr unless a cache with
-  /// allocated tables is present (i.e. has_distance_cache() and m >= 2).
-  const double* distance_row_ptr(SiteId a) const {
-    return site_dist_.empty() ? nullptr : site_dist_.data() + a * sites.size();
-  }
-  const double* depot_distance_ptr() const {
-    return depot_dist_.empty() ? nullptr : depot_dist_.data();
-  }
-  /// SoA coordinate mirror (x[], y[]); nullptr under the same conditions.
-  const double* soa_x() const { return xs_.empty() ? nullptr : xs_.data(); }
-  const double* soa_y() const { return ys_.empty() ? nullptr : ys_.data(); }
-
   /// Validates invariants (matching vector sizes, positive speed,
   /// non-negative service). Aborts on violation.
   void check() const;
-
- private:
-  mutable std::vector<double> site_dist_;   ///< m*m, row-major, symmetric
-  mutable std::vector<double> depot_dist_;  ///< m
-  mutable std::vector<double> xs_, ys_;     ///< SoA mirror of `sites`
-  mutable bool cache_built_ = false;
-  mutable std::size_t cached_m_ = 0;        ///< site count at build time
 };
 
 /// Total delay of a closed tour: travel (incl. both depot legs) + service.

@@ -29,19 +29,6 @@ void scalar_distance_row(const double* xs, const double* ys, std::size_t n,
   }
 }
 
-ArgMin scalar_argmin_masked(const double* values, const unsigned char* skip,
-                            std::size_t n) {
-  ArgMin best{kNpos, kInf};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    if (values[i] < best.value) {
-      best.value = values[i];
-      best.index = i;
-    }
-  }
-  return best;
-}
-
 ArgMin scalar_argmin_distance_masked(const double* xs, const double* ys,
                                      std::size_t n, double px, double py,
                                      const unsigned char* skip) {
@@ -55,22 +42,6 @@ ArgMin scalar_argmin_distance_masked(const double* xs, const double* ys,
       best.value = d;
       best.index = i;
     }
-  }
-  return best;
-}
-
-double scalar_min_reduce(const double* values, std::size_t n) {
-  double best = kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] < best) best = values[i];
-  }
-  return best;
-}
-
-double scalar_max_reduce(const double* values, std::size_t n) {
-  double best = -kInf;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (values[i] > best) best = values[i];
   }
   return best;
 }
@@ -283,8 +254,7 @@ Dispatch& dispatch() {
 
 namespace detail {
 const KernelTable kScalarKernels = {
-    scalar_distance_row,  scalar_argmin_masked, scalar_argmin_distance_masked,
-    scalar_min_reduce,    scalar_max_reduce,    scalar_two_opt_scan,
+    scalar_distance_row,  scalar_argmin_distance_masked, scalar_two_opt_scan,
     scalar_or_opt_scan,   scalar_select_within, scalar_advance_select_below,
     scalar_i64_min_where, scalar_i64_dual_apply, scalar_i64_slack_bound,
     scalar_i64_slack_shift, scalar_price_scan,
@@ -320,38 +290,10 @@ void distance_row(const double* xs, const double* ys, std::size_t n,
   dispatch().table->distance_row(xs, ys, n, px, py, out);
 }
 
-void distance_matrix(const double* xs, const double* ys, std::size_t m,
-                     double* out) {
-  // Row a is filled from the diagonal rightwards with the row kernel, then
-  // mirrored into column a. Mirroring is bitwise-safe: dx and -dx square
-  // to the same double, so d(a, b) == d(b, a) exactly.
-  const auto* table = dispatch().table;
-  for (std::size_t a = 0; a < m; ++a) {
-    double* row = out + a * m;
-    table->distance_row(xs + a, ys + a, m - a, xs[a], ys[a], row + a);
-    for (std::size_t b = a + 1; b < m; ++b) {
-      out[b * m + a] = row[b];
-    }
-  }
-}
-
-ArgMin argmin_masked(const double* values, const unsigned char* skip,
-                     std::size_t n) {
-  return dispatch().table->argmin_masked(values, skip, n);
-}
-
 ArgMin argmin_distance_masked(const double* xs, const double* ys,
                               std::size_t n, double px, double py,
                               const unsigned char* skip) {
   return dispatch().table->argmin_distance_masked(xs, ys, n, px, py, skip);
-}
-
-double min_reduce(const double* values, std::size_t n) {
-  return dispatch().table->min_reduce(values, n);
-}
-
-double max_reduce(const double* values, std::size_t n) {
-  return dispatch().table->max_reduce(values, n);
 }
 
 std::size_t two_opt_scan(const double* px, const double* py, const double* tc,

@@ -1,6 +1,6 @@
 // Portable SIMD kernels for the dense geometry hot paths: SoA distance
-// rows / matrices, fused distance+argmin scans, min/max reductions, and
-// the 2-opt / Or-opt first-improvement gain scans.
+// rows, fused distance+argmin scans, and the 2-opt / Or-opt
+// first-improvement gain scans.
 //
 // Bitwise-identity contract
 // -------------------------
@@ -50,33 +50,18 @@ const char* backend_name(Backend backend);
 void distance_row(const double* xs, const double* ys, std::size_t n,
                   double px, double py, double* out);
 
-/// Fills the dense m x m symmetric Euclidean distance matrix (row-major)
-/// for the SoA point set (xs, ys). Diagonal is +0.0.
-void distance_matrix(const double* xs, const double* ys, std::size_t m,
-                     double* out);
-
 struct ArgMin {
   std::size_t index = kNpos;
   double value = 0.0;
 };
 
-/// Lowest-index minimum of values[i] over i with skip[i] == 0. Equivalent
-/// to the sequential scan `if (v < best) ...`; returns kNpos if every
-/// element is skipped or n == 0. skip may be nullptr (no mask).
-ArgMin argmin_masked(const double* values, const unsigned char* skip,
-                     std::size_t n);
-
 /// Fused distance + argmin: lowest-index minimum of
 /// sqrt((px - xs[i])^2 + (py - ys[i])^2) over i with skip[i] == 0.
-/// skip may be nullptr (no mask).
+/// Equivalent to the sequential scan `if (d < best) ...`; returns kNpos
+/// if every element is skipped or n == 0. skip may be nullptr (no mask).
 ArgMin argmin_distance_masked(const double* xs, const double* ys,
                               std::size_t n, double px, double py,
                               const unsigned char* skip);
-
-/// Exact min/max reductions (order-independent for non-NaN input).
-/// Return +inf / -inf respectively for n == 0.
-double min_reduce(const double* values, std::size_t n);
-double max_reduce(const double* values, std::size_t n);
 
 /// First-improvement scan of the 2-opt move set for a fixed left edge.
 ///

@@ -60,39 +60,6 @@ inline void reduce_argmin4(__m256d bestv, __m256i besti, ArgMin& best) {
   }
 }
 
-ArgMin avx2_argmin_masked(const double* values, const unsigned char* skip,
-                          std::size_t n) {
-  ArgMin best{kNpos, kInf};
-  std::size_t i = 0;
-  if (n >= 4) {
-    const __m256d inf = _mm256_set1_pd(kInf);
-    __m256d bestv = inf;
-    __m256i besti = _mm256_set1_epi64x(-1);
-    __m256i idx = _mm256_setr_epi64x(0, 1, 2, 3);
-    const __m256i step = _mm256_set1_epi64x(4);
-    for (; i + 4 <= n; i += 4) {
-      __m256d val = _mm256_loadu_pd(values + i);
-      if (skip != nullptr) {
-        val = _mm256_blendv_pd(inf, val, live_mask4(skip, i));
-      }
-      const __m256d lt = _mm256_cmp_pd(val, bestv, _CMP_LT_OQ);
-      bestv = _mm256_blendv_pd(bestv, val, lt);
-      besti = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(besti), _mm256_castsi256_pd(idx), lt));
-      idx = _mm256_add_epi64(idx, step);
-    }
-    reduce_argmin4(bestv, besti, best);
-  }
-  for (; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    if (values[i] < best.value) {
-      best.value = values[i];
-      best.index = i;
-    }
-  }
-  return best;
-}
-
 ArgMin avx2_argmin_distance_masked(const double* xs, const double* ys,
                                    std::size_t n, double px, double py,
                                    const unsigned char* skip) {
@@ -147,46 +114,6 @@ void avx2_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
-}
-
-double avx2_min_reduce(const double* values, std::size_t n) {
-  double best = kInf;
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256d acc = _mm256_set1_pd(kInf);
-    for (; i + 4 <= n; i += 4) {
-      acc = _mm256_min_pd(acc, _mm256_loadu_pd(values + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    for (double v : lanes) {
-      if (v < best) best = v;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] < best) best = values[i];
-  }
-  return best;
-}
-
-double avx2_max_reduce(const double* values, std::size_t n) {
-  double best = -kInf;
-  std::size_t i = 0;
-  if (n >= 4) {
-    __m256d acc = _mm256_set1_pd(-kInf);
-    for (; i + 4 <= n; i += 4) {
-      acc = _mm256_max_pd(acc, _mm256_loadu_pd(values + i));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, acc);
-    for (double v : lanes) {
-      if (v > best) best = v;
-    }
-  }
-  for (; i < n; ++i) {
-    if (values[i] > best) best = values[i];
-  }
-  return best;
 }
 
 std::size_t avx2_two_opt_scan(const double* px, const double* py,
@@ -576,10 +503,9 @@ std::size_t avx2_price_scan(const double* xs, const double* ys, std::size_t n,
 }  // namespace
 
 const KernelTable kAvx2Kernels = {
-    avx2_distance_row,  avx2_argmin_masked, avx2_argmin_distance_masked,
-    avx2_min_reduce,    avx2_max_reduce,    avx2_two_opt_scan,
-    avx2_or_opt_scan,   avx2_select_within, avx2_advance_select_below,
-    avx2_i64_min_where, avx2_i64_dual_apply, avx2_i64_slack_bound,
+    avx2_distance_row,   avx2_argmin_distance_masked, avx2_two_opt_scan,
+    avx2_or_opt_scan,    avx2_select_within, avx2_advance_select_below,
+    avx2_i64_min_where,  avx2_i64_dual_apply, avx2_i64_slack_bound,
     avx2_i64_slack_shift, avx2_price_scan,
 };
 

@@ -52,37 +52,6 @@ inline void reduce_argmin8(__m512d bestv, __m512i besti, ArgMin& best) {
   }
 }
 
-ArgMin avx512_argmin_masked(const double* values, const unsigned char* skip,
-                            std::size_t n) {
-  ArgMin best{kNpos, kInf};
-  std::size_t i = 0;
-  if (n >= 8) {
-    const __m512d inf = _mm512_set1_pd(kInf);
-    __m512d bestv = inf;
-    __m512i besti = _mm512_set1_epi64(-1);
-    __m512i idx = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-    const __m512i step = _mm512_set1_epi64(8);
-    for (; i + 8 <= n; i += 8) {
-      const __mmask8 live =
-          skip != nullptr ? live_mask8(skip, i) : static_cast<__mmask8>(0xff);
-      const __m512d val = _mm512_mask_loadu_pd(inf, live, values + i);
-      const __mmask8 lt = _mm512_cmp_pd_mask(val, bestv, _CMP_LT_OQ);
-      bestv = _mm512_mask_blend_pd(lt, bestv, val);
-      besti = _mm512_mask_blend_epi64(lt, besti, idx);
-      idx = _mm512_add_epi64(idx, step);
-    }
-    reduce_argmin8(bestv, besti, best);
-  }
-  for (; i < n; ++i) {
-    if (skip != nullptr && skip[i]) continue;
-    if (values[i] < best.value) {
-      best.value = values[i];
-      best.index = i;
-    }
-  }
-  return best;
-}
-
 ArgMin avx512_argmin_distance_masked(const double* xs, const double* ys,
                                      std::size_t n, double px, double py,
                                      const unsigned char* skip) {
@@ -136,38 +105,6 @@ void avx512_distance_row(const double* xs, const double* ys, std::size_t n,
     const double dy = py - ys[i];
     out[i] = std::sqrt(dx * dx + dy * dy);
   }
-}
-
-double avx512_min_reduce(const double* values, std::size_t n) {
-  double best = kInf;
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m512d acc = _mm512_set1_pd(kInf);
-    for (; i + 8 <= n; i += 8) {
-      acc = _mm512_min_pd(acc, _mm512_loadu_pd(values + i));
-    }
-    best = _mm512_reduce_min_pd(acc);
-  }
-  for (; i < n; ++i) {
-    if (values[i] < best) best = values[i];
-  }
-  return best;
-}
-
-double avx512_max_reduce(const double* values, std::size_t n) {
-  double best = -kInf;
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m512d acc = _mm512_set1_pd(-kInf);
-    for (; i + 8 <= n; i += 8) {
-      acc = _mm512_max_pd(acc, _mm512_loadu_pd(values + i));
-    }
-    best = _mm512_reduce_max_pd(acc);
-  }
-  for (; i < n; ++i) {
-    if (values[i] > best) best = values[i];
-  }
-  return best;
 }
 
 std::size_t avx512_two_opt_scan(const double* px, const double* py,
@@ -535,9 +472,7 @@ std::size_t avx512_price_scan(const double* xs, const double* ys,
 }  // namespace
 
 const KernelTable kAvx512Kernels = {
-    avx512_distance_row,  avx512_argmin_masked,
-    avx512_argmin_distance_masked,
-    avx512_min_reduce,    avx512_max_reduce,    avx512_two_opt_scan,
+    avx512_distance_row,  avx512_argmin_distance_masked, avx512_two_opt_scan,
     avx512_or_opt_scan,   avx512_select_within, avx512_advance_select_below,
     avx512_i64_min_where, avx512_i64_dual_apply, avx512_i64_slack_bound,
     avx512_i64_slack_shift, avx512_price_scan,

@@ -27,13 +27,9 @@ namespace mcharge::simd::detail {
 struct KernelTable {
   void (*distance_row)(const double* xs, const double* ys, std::size_t n,
                        double px, double py, double* out);
-  ArgMin (*argmin_masked)(const double* values, const unsigned char* skip,
-                          std::size_t n);
   ArgMin (*argmin_distance_masked)(const double* xs, const double* ys,
                                    std::size_t n, double px, double py,
                                    const unsigned char* skip);
-  double (*min_reduce)(const double* values, std::size_t n);
-  double (*max_reduce)(const double* values, std::size_t n);
   std::size_t (*two_opt_scan)(const double* px, const double* py,
                               const double* tc, std::size_t j_begin,
                               std::size_t j_end, double ax, double ay,

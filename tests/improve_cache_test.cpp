@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "simd_backends.h"
 #include "tsp/construct.h"
 #include "tsp/improve.h"
 #include "tsp/tour_mirror.h"
@@ -25,30 +26,6 @@
 
 namespace mcharge {
 namespace {
-
-/// Pins a backend for a scope; restores the previous one on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(simd::Backend b) : prev_(simd::active_backend()) {
-    active_ = simd::set_backend(b);
-  }
-  ~BackendGuard() { simd::set_backend(prev_); }
-  simd::Backend active() const { return active_; }
-
- private:
-  simd::Backend prev_;
-  simd::Backend active_;
-};
-
-/// All backends this build + CPU can actually run.
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    BackendGuard guard(b);
-    if (guard.active() == b) out.push_back(b);
-  }
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Reference local search: the original restart loops of src/tsp/improve.cpp
@@ -413,7 +390,6 @@ tsp::TourProblem corpus_problem(Geometry g, std::size_t m, std::uint64_t seed) {
     problem.sites.push_back({x, y});
     problem.service.push_back(rng.uniform(100.0, 4000.0));
   }
-  problem.ensure_distance_cache();
   return problem;
 }
 

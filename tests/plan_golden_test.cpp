@@ -27,7 +27,7 @@
 #include "graph/mst.h"
 #include "matching/matching.h"
 #include "model/charging_problem.h"
-#include "sim_compare.h"
+#include "simd_backends.h"
 #include "tsp/split.h"
 #include "util/rng.h"
 
@@ -35,8 +35,6 @@ namespace mcharge {
 namespace {
 
 using golden::Digest;
-using sim::BackendGuard;
-using sim::supported_backends;
 
 /// One charging round in the bench generator's shape (uniform field,
 /// deficits within the paper's battery range).

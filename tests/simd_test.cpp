@@ -19,6 +19,7 @@
 
 #include "core/appro.h"
 #include "schedule/execute.h"
+#include "simd_backends.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -26,30 +27,6 @@ namespace mcharge {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Pins a backend for a scope; restores the previous one on exit.
-class BackendGuard {
- public:
-  explicit BackendGuard(simd::Backend b) : prev_(simd::active_backend()) {
-    active_ = simd::set_backend(b);
-  }
-  ~BackendGuard() { simd::set_backend(prev_); }
-  simd::Backend active() const { return active_; }
-
- private:
-  simd::Backend prev_;
-  simd::Backend active_;
-};
-
-/// All backends this build + CPU can actually run.
-std::vector<simd::Backend> supported_backends() {
-  std::vector<simd::Backend> out{simd::Backend::kScalar};
-  for (simd::Backend b : {simd::Backend::kAvx2, simd::Backend::kAvx512}) {
-    BackendGuard guard(b);
-    if (guard.active() == b) out.push_back(b);
-  }
-  return out;
-}
 
 const std::vector<std::size_t> kLengths = {0,  1,  2,  3,  4,  5,   7,  8,
                                            9,  15, 16, 17, 31, 32,  33, 64,
@@ -109,94 +86,23 @@ TEST(Simd, DistanceRowMatchesScalarOnAllBackends) {
   }
 }
 
-TEST(Simd, DistanceMatrixSymmetricZeroDiagonalAndScalarIdentical) {
-  for (std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                        std::size_t{33}}) {
-    const Soa p = random_points(m, 200 + m);
-    std::vector<double> scalar(m * m, -1.0);
-    {
-      BackendGuard guard(simd::Backend::kScalar);
-      simd::distance_matrix(p.xs.data(), p.ys.data(), m, scalar.data());
-    }
-    for (std::size_t a = 0; a < m; ++a) {
-      EXPECT_EQ(scalar[a * m + a], 0.0);
-      for (std::size_t b = 0; b < m; ++b) {
-        EXPECT_EQ(scalar[a * m + b], scalar[b * m + a]);
-        EXPECT_EQ(scalar[a * m + b], dist(p.xs[a], p.ys[a], p.xs[b], p.ys[b]));
-      }
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      std::vector<double> out(m * m, -1.0);
-      simd::distance_matrix(p.xs.data(), p.ys.data(), m, out.data());
-      EXPECT_EQ(0, std::memcmp(scalar.data(), out.data(),
-                               m * m * sizeof(double)))
-          << "m=" << m << " backend=" << static_cast<int>(b);
-    }
-  }
-}
-
-TEST(Simd, ArgminMaskedMatchesSequentialScan) {
-  for (std::size_t n : kLengths) {
-    Rng rng(300 + n);
-    std::vector<double> values(n);
-    std::vector<unsigned char> skip(n);
-    // Quantized values force plenty of exact duplicates (tie-breaks).
-    for (std::size_t i = 0; i < n; ++i) {
-      values[i] = std::floor(rng.uniform(0.0, 8.0));
-      skip[i] = rng.uniform(0.0, 1.0) < 0.3 ? 1 : 0;
-    }
-    std::size_t want = simd::kNpos;
-    double want_v = kInf;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i]) continue;
-      if (values[i] < want_v) {
-        want_v = values[i];
-        want = i;
-      }
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      const simd::ArgMin got =
-          simd::argmin_masked(values.data(), skip.data(), n);
-      EXPECT_EQ(want, got.index)
-          << "n=" << n << " backend=" << static_cast<int>(b);
-      if (want != simd::kNpos) {
-        EXPECT_EQ(want_v, got.value);
-      }
-    }
-  }
-}
-
-TEST(Simd, ArgminMaskedAllSkippedReturnsNpos) {
-  const std::vector<double> values(20, 1.0);
-  const std::vector<unsigned char> skip(20, 1);
-  for (simd::Backend b : supported_backends()) {
-    BackendGuard guard(b);
-    EXPECT_EQ(simd::kNpos,
-              simd::argmin_masked(values.data(), skip.data(), 20).index);
-    EXPECT_EQ(simd::kNpos, simd::argmin_masked(values.data(), skip.data(), 0)
-                               .index);
-  }
-}
-
 TEST(Simd, ArgminTieBreaksToLowestIndexAcrossLaneBoundaries) {
-  // Duplicated minima placed across 4- and 8-lane boundaries: a reduction
-  // that prefers a later lane (or the wrong half) would return the wrong
-  // index while still returning the right value.
+  // Two copies of the nearest point placed across 4- and 8-lane
+  // boundaries: a reduction that prefers a later lane (or the wrong half)
+  // would return the wrong index while still returning the right value.
   for (std::size_t first : {std::size_t{1}, std::size_t{3}, std::size_t{8},
                             std::size_t{11}}) {
     for (std::size_t second : {std::size_t{16}, std::size_t{19},
                                std::size_t{24}}) {
-      std::vector<double> values(33, 5.0);
-      values[first] = 1.0;
-      values[second] = 1.0;
+      std::vector<double> xs(33, 50.0), ys(33, 50.0);
+      xs[first] = xs[second] = 10.0;
+      ys[first] = ys[second] = 20.0;
       for (simd::Backend b : supported_backends()) {
         BackendGuard guard(b);
-        const simd::ArgMin got =
-            simd::argmin_masked(values.data(), nullptr, values.size());
+        const simd::ArgMin got = simd::argmin_distance_masked(
+            xs.data(), ys.data(), xs.size(), 13.0, 24.0, nullptr);
         EXPECT_EQ(first, got.index) << "backend=" << static_cast<int>(b);
-        EXPECT_EQ(1.0, got.value);
+        EXPECT_EQ(5.0, got.value);
       }
     }
   }
@@ -236,24 +142,6 @@ TEST(Simd, ArgminDistanceMaskedMatchesScalarWithDuplicatePoints) {
         EXPECT_EQ(want_v, got.value);
       }
       }
-    }
-  }
-}
-
-TEST(Simd, MinMaxReduceMatchScalar) {
-  for (std::size_t n : kLengths) {
-    Rng rng(600 + n);
-    std::vector<double> values(n);
-    for (auto& v : values) v = rng.uniform(-50.0, 50.0);
-    double want_min = kInf, want_max = -kInf;
-    for (double v : values) {
-      if (v < want_min) want_min = v;
-      if (v > want_max) want_max = v;
-    }
-    for (simd::Backend b : supported_backends()) {
-      BackendGuard guard(b);
-      EXPECT_EQ(want_min, simd::min_reduce(values.data(), n)) << "n=" << n;
-      EXPECT_EQ(want_max, simd::max_reduce(values.data(), n)) << "n=" << n;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "geometry/field.h"
+#include "simd_backends.h"
 #include "tsp/construct.h"
 #include "tsp/exact.h"
 #include "tsp/improve.h"
@@ -83,6 +84,17 @@ TEST(TourProblem, IsCompleteTour) {
   EXPECT_FALSE(is_complete_tour(p, {0, 1, 5}));
 }
 
+TEST(TourProblem, DistanceSymmetricAndZeroDiagonal) {
+  Rng rng(52);
+  const TourProblem p = random_problem(30, rng);
+  for (SiteId a = 0; a < p.size(); ++a) {
+    EXPECT_EQ(p.distance(a, a), 0.0);
+    for (SiteId b = a + 1; b < p.size(); ++b) {
+      EXPECT_EQ(p.distance(a, b), p.distance(b, a));
+    }
+  }
+}
+
 // ---------- constructors ----------
 
 class BuilderProperty
@@ -119,6 +131,49 @@ TEST(Builders, EmptyAndSingleSite) {
     const Tour t = build_tour(p, b);
     ASSERT_EQ(t.size(), 1u);
     EXPECT_EQ(t[0], 0u);
+  }
+}
+
+// Frozen nearest-neighbour construction: a strict-< scan over
+// geom::distance rows (the depot row for the first hop, then the row of
+// the site just visited), lowest index on ties.
+Tour frozen_nearest_neighbor(const TourProblem& p) {
+  const std::size_t m = p.size();
+  Tour tour;
+  std::vector<char> visited(m, 0);
+  geom::Point at = p.depot;
+  for (std::size_t step = 0; step < m; ++step) {
+    SiteId best_v = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (SiteId v = 0; v < m; ++v) {
+      if (visited[v]) continue;
+      const double d = geom::distance(at, p.sites[v]);
+      if (d < best) {
+        best = d;
+        best_v = v;
+      }
+    }
+    visited[best_v] = 1;
+    tour.push_back(best_v);
+    at = p.sites[best_v];
+  }
+  return tour;
+}
+
+TEST(NearestNeighbor, MatchesFrozenMatrixScanOnAllBackends) {
+  for (std::size_t m : {0u, 1u, 2u, 3u, 7u, 8u, 9u, 17u, 33u, 100u}) {
+    Rng rng(900 + m);
+    TourProblem p = random_problem(m, rng);
+    // Exact duplicate sites tie in every row, including at distance 0
+    // once one copy is visited.
+    for (std::size_t i = 1; i + 1 < m; i += 3) p.sites[i + 1] = p.sites[i];
+    const Tour want = frozen_nearest_neighbor(p);
+    ASSERT_EQ(want.size(), m);
+    for (simd::Backend b : supported_backends()) {
+      BackendGuard guard(b);
+      EXPECT_EQ(want, nearest_neighbor_tour(p))
+          << "m=" << m << " backend=" << simd::backend_name(b);
+    }
   }
 }
 
@@ -586,170 +641,6 @@ TEST(MinMaxKTours, SegmentImproveNeverHurts) {
   const auto a = min_max_k_tours(p, 3, with);
   const auto b = min_max_k_tours(p, 3, without);
   EXPECT_LE(a.max_delay, b.max_delay + 1e-9);
-}
-
-// ---------- distance cache ----------
-
-TEST(DistanceCache, MatchesOnTheFlyGeometryBitwise) {
-  Rng rng(51);
-  const TourProblem p = random_problem(60, rng);
-  ASSERT_FALSE(p.has_distance_cache());
-  // Record the uncached answers, then build the cache and re-query.
-  std::vector<double> travel_before, depot_before;
-  for (SiteId a = 0; a < p.size(); ++a) {
-    depot_before.push_back(p.travel_depot(a));
-    for (SiteId b = 0; b < p.size(); ++b) {
-      travel_before.push_back(p.travel(a, b));
-    }
-  }
-  p.ensure_distance_cache();
-  ASSERT_TRUE(p.has_distance_cache());
-  std::size_t idx = 0;
-  for (SiteId a = 0; a < p.size(); ++a) {
-    EXPECT_EQ(p.travel_depot(a), depot_before[a]);
-    for (SiteId b = 0; b < p.size(); ++b) {
-      EXPECT_EQ(p.travel(a, b), travel_before[idx++]);  // bitwise
-    }
-  }
-}
-
-TEST(DistanceCache, SymmetricAndZeroDiagonal) {
-  Rng rng(52);
-  const TourProblem p = random_problem(30, rng);
-  p.ensure_distance_cache();
-  for (SiteId a = 0; a < p.size(); ++a) {
-    EXPECT_EQ(p.distance(a, a), 0.0);
-    for (SiteId b = a + 1; b < p.size(); ++b) {
-      EXPECT_EQ(p.distance(a, b), p.distance(b, a));
-    }
-  }
-}
-
-TEST(DistanceCache, DropRestoresOnTheFlyPath) {
-  Rng rng(53);
-  const TourProblem p = random_problem(10, rng);
-  p.ensure_distance_cache();
-  ASSERT_TRUE(p.has_distance_cache());
-  p.drop_distance_cache();
-  EXPECT_FALSE(p.has_distance_cache());
-  EXPECT_EQ(p.travel(0, 1), geom::distance(p.sites[0], p.sites[1]) / p.speed);
-}
-
-TEST(DistanceCache, StaleSizeIsRebuilt) {
-  Rng rng(54);
-  TourProblem p = random_problem(10, rng);
-  p.ensure_distance_cache();
-  p.sites.push_back({1.0, 2.0});
-  p.service.push_back(0.0);
-  EXPECT_FALSE(p.has_distance_cache());  // size mismatch = stale
-  p.ensure_distance_cache();
-  ASSERT_TRUE(p.has_distance_cache());
-  EXPECT_EQ(p.distance(0, 10), geom::distance(p.sites[0], p.sites[10]));
-}
-
-TEST(DistanceCache, EmptyProblemBuildIsANoOpButCounts) {
-  TourProblem p;
-  EXPECT_FALSE(p.has_distance_cache());
-  p.ensure_distance_cache();
-  // m == 0 allocates nothing, but the build is remembered: repeated
-  // ensure/drop cycles on empty subproblems must stay allocation-free.
-  EXPECT_TRUE(p.has_distance_cache());
-  EXPECT_EQ(p.depot_distance_ptr(), nullptr);
-  EXPECT_EQ(p.soa_x(), nullptr);
-  p.drop_distance_cache();
-  EXPECT_FALSE(p.has_distance_cache());
-}
-
-TEST(DistanceCache, SingleSiteBuildIsANoOp) {
-  TourProblem p;
-  p.sites.push_back({3.0, 4.0});
-  p.service.push_back(1.0);
-  p.ensure_distance_cache();
-  EXPECT_TRUE(p.has_distance_cache());
-  // No tables for a single site; queries fall through to on-the-fly
-  // geometry and stay bitwise-correct.
-  EXPECT_EQ(p.depot_distance_ptr(), nullptr);
-  EXPECT_EQ(p.distance_row_ptr(0), nullptr);
-  EXPECT_EQ(p.distance_depot(0), 5.0);
-  EXPECT_EQ(p.distance(0, 0), 0.0);
-}
-
-TEST(DistanceCache, SingleSiteStaysCurrentUntilSitesGrow) {
-  TourProblem p;
-  p.sites.push_back({3.0, 4.0});
-  p.service.push_back(1.0);
-  p.ensure_distance_cache();
-  ASSERT_TRUE(p.has_distance_cache());
-  p.sites.push_back({6.0, 8.0});
-  p.service.push_back(1.0);
-  EXPECT_FALSE(p.has_distance_cache());
-  p.ensure_distance_cache();
-  ASSERT_TRUE(p.has_distance_cache());
-  ASSERT_NE(p.distance_row_ptr(0), nullptr);
-  EXPECT_EQ(p.distance(0, 1), 5.0);
-}
-
-TEST(DistanceCache, RowPointersMatchQueries) {
-  Rng rng(58);
-  const TourProblem p = random_problem(17, rng);
-  p.ensure_distance_cache();
-  ASSERT_NE(p.depot_distance_ptr(), nullptr);
-  for (SiteId a = 0; a < p.size(); ++a) {
-    EXPECT_EQ(p.depot_distance_ptr()[a], p.distance_depot(a));
-    const double* row = p.distance_row_ptr(a);
-    ASSERT_NE(row, nullptr);
-    for (SiteId b = 0; b < p.size(); ++b) {
-      EXPECT_EQ(row[b], p.distance(a, b));
-    }
-    EXPECT_EQ(p.soa_x()[a], p.sites[a].x);
-    EXPECT_EQ(p.soa_y()[a], p.sites[a].y);
-  }
-}
-
-TEST(DistanceCache, TwoOptIdenticalWithAndWithoutCache) {
-  Rng rng(55);
-  const TourProblem uncached = random_problem(80, rng);
-  TourProblem cached = uncached;
-  cached.ensure_distance_cache();
-
-  Tour tour_uncached = nearest_neighbor_tour(uncached);
-  // nearest_neighbor_tour builds the cache on its own problem; rebuild the
-  // uncached starting tour without one to keep that path honest too.
-  uncached.drop_distance_cache();
-  Tour tour_cached = tour_uncached;
-
-  const double saved_uncached = two_opt(uncached, tour_uncached);
-  const double saved_cached = two_opt(cached, tour_cached);
-  EXPECT_EQ(saved_uncached, saved_cached);  // bitwise-identical gains
-  EXPECT_EQ(tour_uncached, tour_cached);    // identical final tours
-}
-
-TEST(DistanceCache, OrOptIdenticalWithAndWithoutCache) {
-  Rng rng(56);
-  const TourProblem uncached = random_problem(80, rng);
-  TourProblem cached = uncached;
-  cached.ensure_distance_cache();
-
-  Tour base = nearest_neighbor_tour(cached);
-  uncached.drop_distance_cache();
-  Tour tour_uncached = base;
-  Tour tour_cached = base;
-
-  const double saved_uncached = or_opt(uncached, tour_uncached);
-  const double saved_cached = or_opt(cached, tour_cached);
-  EXPECT_EQ(saved_uncached, saved_cached);
-  EXPECT_EQ(tour_uncached, tour_cached);
-}
-
-TEST(DistanceCache, MinMaxKToursIdenticalWithPrebuiltCache) {
-  Rng rng(57);
-  const TourProblem fresh = random_problem(60, rng, 200.0);
-  TourProblem prebuilt = fresh;
-  prebuilt.ensure_distance_cache();
-  const auto a = min_max_k_tours(fresh, 3);     // builds its cache inside
-  const auto b = min_max_k_tours(prebuilt, 3);  // reuses the prebuilt one
-  EXPECT_EQ(a.max_delay, b.max_delay);
-  EXPECT_EQ(a.tours, b.tours);
 }
 
 }  // namespace
