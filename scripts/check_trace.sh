@@ -135,12 +135,13 @@ else
   echo "phase regression: SKIPPED (python3 or BENCH_micro.json unavailable)"
 fi
 
-# ---- 4. sparse blossom warm-start regression gate --------------------
-# BM_Blossom/1024/1 regressed once before (warm re-solves whose exit
-# duals priced dirty forced an extra full solve round); this gate trips
-# if the sparse engine drifts more than 1.35x from the checked-in
-# baseline — roughly the 70 ms budget at 1024 — while staying loose
-# enough to absorb shared-runner noise.
+# ---- 4. sparse blossom regression gate -------------------------------
+# BM_Blossom/1024/1 regressed once before (re-solves whose exit duals
+# priced dirty forced an extra full solve round), and its speed now
+# rests on the core's jump start and real-edge blossom rows, with every
+# pricing round re-solved from that cold entry. This gate trips if the
+# sparse engine drifts more than 1.35x from the checked-in baseline,
+# while staying loose enough to absorb shared-runner noise.
 if command -v python3 >/dev/null 2>&1 && [ -f BENCH_micro.json ]; then
   "$BUILD_DIR/bench/micro_algorithms" \
     --benchmark_filter='BM_Blossom/1024/1$' \

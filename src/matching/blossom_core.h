@@ -6,9 +6,25 @@
 //
 //  * The edge Store is a template parameter providing REAL-REAL weights
 //    only (DenseStore: an (n+1)^2 doubled-weight matrix; SparseStore: CSR
-//    candidate rows). A weight of 0 means "no edge" — exactly how the
-//    dense solver already treated missing edges, which is what makes the
-//    core sparse-capable without algorithmic changes.
+//    candidate rows). A weight of 0 means "no edge"; only real edges ever
+//    enter a blossom's best-edge row, so a non-edge can never read as a
+//    tight edge however low the labels go.
+//
+//  * The solver computes a maximum-weight PERFECT matching, so the store
+//    must contain one (the dense store is complete; the sparse store
+//    carries a (2i, 2i+1) backbone). Vertex labels are free to go below
+//    zero; there is no "dual exhausted" exit, and a phase always ends in
+//    an augmentation.
+//
+//  * Jump start (the greedy initialization of Kolmogorov's Blossom V):
+//    instead of every label at w_max and every vertex free, each label
+//    starts at half the vertex's heaviest incident doubled weight
+//    (rounded up to even), then each still-free vertex in index order
+//    lowers its label to max_x (w2(u, x) - lab_x) and takes that
+//    neighbour if it is free. Labels stay even, every edge stays
+//    feasible and every matched pair is tight, so the phases see an
+//    entry no different in kind from a cold one; they only have less
+//    left to do.
 //
 //  * All per-blossom bookkeeping (the best member edge toward every other
 //    node, the from / flower structures) is owned by the core and
@@ -16,7 +32,9 @@
 //    BlossomArena, replacing the per-call (2n+1)^2 Edge + weight matrix
 //    allocations. Symmetric cells of the old matrix were always exact
 //    mirrors, so only the blossom-side row is stored and the opposite
-//    orientation is derived by swapping record endpoints.
+//    orientation is derived by swapping record endpoints. A new
+//    blossom's row is built from its members' real edges: store
+//    neighbours for real members, nonzero row entries for nested ones.
 //
 //  * The dual-adjustment inner loops run through the simd::i64_* kernels
 //    over flat arrays: su_[u] mirrors s_[st_[u]] for real u (maintained
@@ -37,10 +55,10 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "obs/obs.h"
 #include "util/assert.h"
 #include "util/simd.h"
 
@@ -83,12 +101,6 @@ class DenseStore {
 
   std::int64_t weight(int u, int v) const { return w_[idx(u, v)]; }
 
-  std::int64_t max_weight() const {
-    std::int64_t best = 0;
-    for (const std::int64_t w : w_) best = std::max(best, w);
-    return best;
-  }
-
   /// Calls f(v, w2) for v in ascending order with weight(u, v) > 0; stops
   /// early (returning false) when f does.
   template <class F>
@@ -114,27 +126,34 @@ class DenseStore {
 /// ascending order as the dense row scan).
 class SparseStore {
  public:
-  /// Each undirected edge ((u, v) 1-based, u != v) appears once in
-  /// `edges` with its doubled weight in `w2`.
+  /// Each undirected edge ((u, v) 1-based, u < v) appears once in
+  /// `edges`, sorted by (u, v), with its doubled weight in `w2`. Two
+  /// passes over that order fill the CSR: a row receives its smaller
+  /// neighbours (as the second endpoint) before its larger ones (as the
+  /// first), each group ascending, so every row comes out sorted.
   SparseStore(int n, const std::vector<std::pair<int, int>>& edges,
               const std::vector<std::int64_t>& w2)
       : n_(n) {
-    std::vector<std::tuple<std::int32_t, std::int32_t, std::int64_t>> dir;
-    dir.reserve(edges.size() * 2);
-    for (std::size_t k = 0; k < edges.size(); ++k) {
-      dir.emplace_back(edges[k].first, edges[k].second, w2[k]);
-      dir.emplace_back(edges[k].second, edges[k].first, w2[k]);
-    }
-    std::sort(dir.begin(), dir.end());
     head_.assign(n + 2, 0);
-    nbr_.resize(dir.size());
-    w_.resize(dir.size());
-    for (std::size_t k = 0; k < dir.size(); ++k) {
-      ++head_[std::get<0>(dir[k]) + 1];
-      nbr_[k] = std::get<1>(dir[k]);
-      w_[k] = std::get<2>(dir[k]);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const auto [u, v] = edges[k];
+      MCHARGE_ASSERT(u >= 1 && u < v && v <= n &&
+                         (k == 0 || edges[k - 1] < edges[k]),
+                     "SparseStore: edges must be sorted, unique, u < v");
+      ++head_[u + 1];
+      ++head_[v + 1];
     }
     for (int u = 1; u <= n + 1; ++u) head_[u] += head_[u - 1];
+    nbr_.resize(2 * edges.size());
+    w_.resize(2 * edges.size());
+    std::vector<std::int32_t> next(head_.begin(), head_.end() - 1);
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      const auto [u, v] = edges[k];
+      nbr_[next[u]] = v;
+      w_[next[u]++] = w2[k];
+      nbr_[next[v]] = u;
+      w_[next[v]++] = w2[k];
+    }
   }
 
   std::int64_t weight(int u, int v) const {
@@ -143,12 +162,6 @@ class SparseStore {
     const auto* it = std::lower_bound(begin, end, v);
     if (it == end || *it != v) return 0;
     return w_[it - nbr_.data()];
-  }
-
-  std::int64_t max_weight() const {
-    std::int64_t best = 0;
-    for (const std::int64_t w : w_) best = std::max(best, w);
-    return best;
   }
 
   template <class F>
@@ -197,42 +210,16 @@ class BlossomCore {
     su_ = a_.su.data();
   }
 
-  /// Runs the solver; afterwards partner(v) gives v's mate (1-based, 0 if
-  /// unmatched) and dual2(v) the final doubled dual label.
+  /// Runs the solver to a maximum-weight perfect matching of the store;
+  /// afterwards partner(v) gives v's mate (1-based) and dual2(v) its
+  /// final doubled dual label.
   void solve() {
     n_x_ = n_;
-    for (int u = 1; u <= n_; ++u) st_[u] = u;
-    const std::int64_t w_max = store_.max_weight();
-    for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
-    while (matching_phase()) {
-    }
-  }
-
-  /// Warm-start entry: seeds labels and matching from a previous solve
-  /// over a subset of this store's edges, then runs the same phases as
-  /// solve(). Preconditions (the caller's bump/round/unmatch passes
-  /// establish all three): labels are nonnegative, EVEN, and
-  /// dual-feasible on EVERY store edge (lab2[u] + lab2[v] >= w2(u, v)),
-  /// and every matched pair is tight (equality) with mate[] involutive.
-  /// The parity requirement matters for termination, not feasibility:
-  /// i64_slack_bound halves outer-target slacks and the post-adjustment
-  /// rescan only fires at slack exactly 0, so an ODD outer-outer slack
-  /// pins d at floor(1/2) = 0 forever. An all-even entry has the same
-  /// shape as solve()'s own entry (w_max of doubled weights is even), so
-  /// the phases see nothing a cold start could not have produced — only
-  /// the amount of remaining work differs. `lab2` and `mate` are
-  /// 0-indexed by vertex; mate values are 1-based partners (0 =
-  /// unmatched).
-  void solve_from(const std::vector<std::int64_t>& lab2,
-                  const std::vector<std::int32_t>& mate) {
-    n_x_ = n_;
-    for (int u = 1; u <= n_; ++u) {
-      st_[u] = u;
-      lab_[u] = lab2[u - 1];
-      match_[u] = mate[u - 1];
-    }
-    while (matching_phase()) {
-    }
+    [[maybe_unused]] const int jumped = jump_start();
+    [[maybe_unused]] std::int64_t phases = 0;
+    while (matching_phase()) ++phases;
+    OBS_COUNT("blossom.phases", phases);
+    OBS_COUNT("blossom.jump_matched", jumped);
   }
 
   int partner(int v) const { return match_[v]; }
@@ -262,6 +249,47 @@ class BlossomCore {
   static BlossomEdge flip(BlossomEdge e) { return {e.v, e.u}; }
   int slot(int b) const { return b - n_ - 1; }
 
+  /// Greedy dual-feasible entry; returns the number of vertices it
+  /// matched. Each label starts at half the vertex's heaviest incident
+  /// doubled weight, rounded up to even, so lab_u + lab_x >= w2(u, x) on
+  /// every edge. A still-free vertex then lowers its label to the
+  /// tightest value that keeps its edges feasible and takes the first
+  /// neighbour attaining it when that neighbour is free, which makes the
+  /// pair tight.
+  int jump_start() {
+    for (int u = 1; u <= n_; ++u) {
+      st_[u] = u;
+      std::int64_t heaviest = 0;
+      store_.for_neighbors(u, [&](int, std::int64_t w) {
+        heaviest = std::max(heaviest, w);
+        return true;
+      });
+      MCHARGE_ASSERT(heaviest > 0, "blossom: vertex without an edge");
+      const std::int64_t half = heaviest / 2;
+      lab_[u] = half + (half & 1);
+    }
+    int matched = 0;
+    for (int u = 1; u <= n_; ++u) {
+      if (match_[u]) continue;
+      std::int64_t best = std::numeric_limits<std::int64_t>::min();
+      int arg = 0;
+      store_.for_neighbors(u, [&](int x, std::int64_t w) {
+        if (w - lab_[x] > best) {
+          best = w - lab_[x];
+          arg = x;
+        }
+        return true;
+      });
+      lab_[u] = best;
+      if (!match_[arg]) {
+        match_[u] = arg;
+        match_[arg] = u;
+        matched += 2;
+      }
+    }
+    return matched;
+  }
+
   void chain_dfs(
       int x, std::vector<std::pair<std::int32_t, std::int64_t>>& stack,
       std::vector<std::vector<std::pair<std::int32_t, std::int64_t>>>& chains)
@@ -290,10 +318,17 @@ class BlossomCore {
   /// Edge record of the (u, v) slot: synthesized for real-real pairs,
   /// blossom rows otherwise (the v-side orientation is the flipped
   /// u-side record; the old dense matrix kept both as exact mirrors).
+  /// The solver only follows slots it reached through a real edge, so a
+  /// row slot it reads must hold one.
   BlossomEdge rec(int u, int v) const {
-    if (u > n_) return a_.brow_e[slot(u)][v];
-    if (v > n_) return flip(a_.brow_e[slot(v)][u]);
-    return {u, v};
+    if (u <= n_ && v <= n_) return {u, v};
+    const bool row_u = u > n_;
+    const int b = row_u ? u : v;
+    const int x = row_u ? v : u;
+    MCHARGE_ASSERT(a_.brow_w[slot(b)][x] > 0,
+                   "blossom: best-edge row slot holds no real edge");
+    const BlossomEdge e = a_.brow_e[slot(b)][x];
+    return row_u ? e : flip(e);
   }
 
   std::int64_t weight(int u, int v) const {
@@ -443,30 +478,41 @@ class BlossomCore {
     mark_state(b, 0);
     auto& be = a_.brow_e[slot(b)];
     auto& bw = a_.brow_w[slot(b)];
-    for (int x = 1; x <= n_x_; ++x) {
-      bw[x] = 0;
-      if (x > n_ && x != b && !a_.brow_w[slot(x)].empty()) {
-        a_.brow_w[slot(x)][b] = 0;
-      }
+    std::fill(bw.begin(), bw.begin() + n_x_ + 1, 0);
+    for (int c = n_ + 1; c <= n_x_; ++c) {
+      if (c != b && !a_.brow_w[slot(c)].empty()) a_.brow_w[slot(c)][b] = 0;
     }
+    // Members are offered in flower order and a later one wins a column
+    // only with a strictly smaller reduced cost, so ties go to the first.
+    const auto offer = [&](int x, BlossomEdge e, std::int64_t w) {
+      if (bw[x] == 0 || e_delta2(e, w) < e_delta2(be[x], bw[x])) {
+        be[x] = e;
+        bw[x] = w;
+        if (x > n_) {
+          a_.brow_e[slot(x)][b] = flip(e);
+          a_.brow_w[slot(x)][b] = w;
+        }
+      }
+    };
     auto& fr = a_.from[slot(b)];
     std::fill(fr.begin(), fr.begin() + n_ + 1, 0);
     for (const int xs : fl) {
-      for (int x = 1; x <= n_x_; ++x) {
-        const BlossomEdge e = rec(xs, x);
-        const std::int64_t w = weight(xs, x);
-        if (bw[x] == 0 || e_delta2(e, w) < e_delta2(be[x], bw[x])) {
-          be[x] = e;
-          bw[x] = w;
-          if (x > n_ && x != b) {
-            a_.brow_e[slot(x)][b] = flip(e);
-            a_.brow_w[slot(x)][b] = w;
-          }
-        }
-      }
       if (xs <= n_) {
+        store_.for_neighbors(xs, [&](int v, std::int64_t w) {
+          offer(v, BlossomEdge{xs, v}, w);
+          return true;
+        });
+        for (int c = n_ + 1; c <= n_x_; ++c) {
+          const std::int64_t w = c == b ? 0 : a_.brow_w[slot(c)][xs];
+          if (w > 0) offer(c, flip(a_.brow_e[slot(c)][xs]), w);
+        }
         fr[xs] = xs;
       } else {
+        const auto& xe = a_.brow_e[slot(xs)];
+        const auto& xw = a_.brow_w[slot(xs)];
+        for (int x = 1; x <= n_x_; ++x) {
+          if (xw[x] > 0) offer(x, xe[x], xw[x]);
+        }
         const auto& xfr = a_.from[slot(xs)];
         for (int x = 1; x <= n_; ++x) {
           if (xfr[x]) fr[x] = xs;
@@ -589,12 +635,9 @@ class BlossomCore {
       }
       d = std::min(d, simd::i64_slack_bound(slack_val_, slack_, st_, s_, 1,
                                             n_x_ + 1));
-      MCHARGE_ASSERT(d != kI64Max, "blossom: no dual adjustment available");
-
-      // Dual exhausted -> no augmenting path. Checked BEFORE applying so
-      // the duals stay a consistent feasible solution (the pricing pass
-      // reads them after the solver stops).
-      if (simd::i64_min_where(lab_, su_, 0, 1, n_ + 1) <= d) return false;
+      // Unbounded only if no augmenting path can ever form, i.e. the
+      // store holds no perfect matching.
+      MCHARGE_ASSERT(d != kI64Max, "blossom: store has no perfect matching");
       simd::i64_dual_apply(lab_, su_, 1, n_ + 1, d);
       for (int b = n_ + 1; b <= n_x_; ++b) {
         if (st_[b] == b) {

@@ -1,6 +1,7 @@
 #include "matching/matching.h"
 
 #include "matching/blossom.h"
+#include "obs/obs.h"
 
 namespace mcharge::matching {
 
@@ -9,8 +10,15 @@ Matching min_weight_euclidean_matching(const std::vector<geom::Point>& pts) {
   const auto euclid = [&pts](std::uint32_t a, std::uint32_t b) {
     return geom::distance(pts[a], pts[b]);
   };
-  if (n <= kExactLimit) return exact_min_weight_matching(n, euclid);
-  if (n < kSparseCrossover) return dense_blossom_euclidean_matching(pts);
+  if (n <= kDpDispatchLimit) {
+    OBS_COUNT("matching.dp", 1);
+    return exact_min_weight_matching(n, euclid);
+  }
+  if (n < kSparseCrossover) {
+    OBS_COUNT("matching.dense", 1);
+    return dense_blossom_euclidean_matching(pts);
+  }
+  OBS_COUNT("matching.sparse", 1);
   return sparse_blossom_euclidean_matching(pts);
 }
 

@@ -3,7 +3,8 @@
 //
 // Engines:
 //  * exact DP: bitmask dynamic program, O(2^n * n); used for
-//    n <= kExactLimit and as the reference oracle in tests.
+//    n <= kDpDispatchLimit and, up to kExactLimit, as the reference
+//    oracle in tests.
 //  * dense blossom (matching/blossom.h): exact O(n^3) primal-dual solver
 //    on a materialized (n+1)^2 weight matrix.
 //  * sparse blossom (matching/blossom.h): exact price-and-repair solver
@@ -33,16 +34,23 @@ using WeightFn = std::function<double(std::uint32_t, std::uint32_t)>;
 /// Pairs in a perfect matching; each vertex appears exactly once.
 using Matching = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
-/// Largest n routed to the exact bitmask DP (and the DP's own hard
-/// assert: 2^n states are materialized).
+/// Largest n the exact bitmask DP accepts (its own hard assert: 2^n
+/// states are materialized). The tests use it as an oracle up to here.
 inline constexpr std::size_t kExactLimit = 16;
+
+/// Largest n the geometric dispatch routes to the DP. Above it the
+/// jump-started dense blossom is several times cheaper per call (4 vs
+/// 20 us at n = 12, 9 vs 225 us at n = 16 on uniform fields; see
+/// EXPERIMENTS.md), so the DP keeps only the smallest sets.
+inline constexpr std::size_t kDpDispatchLimit = 10;
+static_assert(kDpDispatchLimit <= kExactLimit);
 
 /// Below this size the dispatch prefers the dense engine over the sparse
 /// one: the sparse engine's candidate-build + multi-round pricing
 /// overhead only amortizes once the (n+1)^2 dense solve is expensive
-/// enough (measured crossover ~128-256 on uniform fields; see
-/// EXPERIMENTS.md). Both engines return the identical matching, so this
-/// is purely a latency choice.
+/// enough. On the reproduction workloads' own odd sets sparse wins above
+/// 128 and dense below it (see EXPERIMENTS.md). Both engines return the
+/// identical matching, so this is purely a latency choice.
 inline constexpr std::size_t kSparseCrossover = 128;
 
 /// Exact minimum-weight perfect matching by bitmask DP. Requires even n,
@@ -96,7 +104,7 @@ Matching exact_min_weight_matching(std::size_t n, Weight&& weight) {
 }
 
 /// Geometric dispatch: minimum-weight perfect matching on `pts` (even
-/// count) under Euclidean distance. n <= kExactLimit runs the DP,
+/// count) under Euclidean distance. n <= kDpDispatchLimit runs the DP,
 /// n < kSparseCrossover the dense blossom, and every larger n the sparse
 /// blossom. Both blossom engines share one quantized objective with
 /// deterministic tie-breaking, so they return identical matchings — the

@@ -3,28 +3,27 @@
 // 1. Build a candidate graph: k nearest neighbors per vertex (grid index,
 //    expanding-radius queries) plus a trivial backbone pairing
 //    (2i, 2i+1) so a perfect matching always exists.
-// 2. Solve exactly on the candidate graph with the shared blossom core.
+// 2. Solve exactly on the candidate graph with the shared blossom core,
+//    which returns a maximum-weight perfect matching of the candidate
+//    graph (the backbone guarantees one) together with its duals.
 // 3. Price: scan every non-candidate pair against the solver's final
-//    duals. The solver's labels are a feasible dual solution for the
-//    candidate graph; a pair (u, v) outside it violates complete-graph
-//    dual feasibility only if lab2_u + lab2_v + z2(u, v) < 2 * profit,
-//    where z2(u, v) sums the duals of every surviving blossom containing
-//    both endpoints (the common prefix of the two nesting chains).
-//    Pricing on labels ALONE is also sound (z >= 0 only tightens the
-//    left side) but spuriously flags close pairs inside surviving
-//    blossoms, and after a warm re-solve those spurious admissions
-//    snowball into an extra full solve round (the BM_Blossom/1024
-//    regression).
-// 4. Add all violated pairs as candidate edges and re-solve. Every round
-//    adds only absent pairs, so the edge set strictly grows and the loop
-//    terminates; when no absent pair violates, the duals are feasible on
-//    the COMPLETE graph and complementary slackness certifies the current
-//    matching as the exact optimum of the same quantized objective the
-//    dense engine solves. Re-solves warm-start from the previous round's
-//    duals and matching (see the in-loop comment) instead of from cold
-//    labels; this changes only the work per round, never the optimum —
-//    the quantizer's tie perturbation makes the optimum generically
-//    unique, so the dense/sparse identical-matching invariant holds.
+//    duals. The solver's labels and blossom duals are a feasible dual
+//    solution for the candidate graph; a pair (u, v) outside it violates
+//    complete-graph dual feasibility only if
+//    lab2_u + lab2_v + z2(u, v) < 2 * profit, where z2(u, v) sums the
+//    duals of every surviving blossom containing both endpoints (the
+//    common prefix of the two nesting chains). Pricing on labels ALONE
+//    would also be sound (z >= 0 only tightens the left side) but
+//    spuriously flags close pairs inside surviving blossoms, each of
+//    which costs a needless re-solve round.
+// 4. Add all violated pairs as candidate edges and re-solve from scratch.
+//    Every round adds only absent pairs, so the edge set strictly grows
+//    and the loop terminates; when no absent pair violates, the duals are
+//    feasible on the COMPLETE graph and complementary slackness certifies
+//    the perfect matching as the exact optimum of the same quantized
+//    objective the dense engine solves. The quantizer's tie perturbation
+//    makes that optimum generically unique, so the dense/sparse
+//    identical-matching invariant holds.
 //
 // The pricing scan is the only O(n^2) part and runs through the
 // simd::price_scan kernel: the int64 dual test is relaxed to a
@@ -37,7 +36,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -54,7 +52,9 @@ namespace mcharge::matching {
 
 namespace {
 
-/// k-NN + backbone candidate edges, 0-based, u < v, sorted, unique.
+/// k-NN + backbone candidate edges, 0-based, u < v, sorted, unique. A
+/// vertex's k nearest neighbours are the k smallest (d^2, id) pairs in
+/// the smallest doubling disk that holds at least k others.
 std::vector<std::pair<int, int>> candidate_edges(
     const std::vector<geom::Point>& pts, int knn) {
   const int n = static_cast<int>(pts.size());
@@ -67,25 +67,23 @@ std::vector<std::pair<int, int>> candidate_edges(
   const geom::GridIndex grid(pts, cell);
 
   std::vector<std::pair<int, int>> edges;
-  edges.reserve(static_cast<std::size_t>(n) * knn / 2 + n);
+  edges.reserve(static_cast<std::size_t>(n) * knn + n / 2);
   std::vector<std::pair<double, std::uint32_t>> near;
   for (int i = 0; i < n; ++i) {
-    double radius = cell;
-    std::vector<std::uint32_t> ids;
-    for (;;) {
-      ids = grid.query_disk_excluding(pts[i], radius,
-                                      static_cast<std::uint32_t>(i));
-      if (static_cast<int>(ids.size()) >= knn || radius > diag) break;
-      radius *= 2.0;
+    const auto self = static_cast<std::uint32_t>(i);
+    for (double radius = cell;; radius *= 2.0) {
+      near.clear();
+      grid.visit_disk(pts[i], radius, [&](std::uint32_t id) {
+        if (id != self) {
+          near.emplace_back(geom::distance_sq(pts[i], pts[id]), id);
+        }
+        return true;
+      });
+      if (static_cast<int>(near.size()) >= knn || radius > diag) break;
     }
-    near.clear();
-    near.reserve(ids.size());
-    for (const std::uint32_t id : ids) {
-      near.emplace_back(geom::distance_sq(pts[i], pts[id]), id);
-    }
-    std::sort(near.begin(), near.end());
-    const int take = std::min<int>(knn, static_cast<int>(near.size()));
-    for (int k = 0; k < take; ++k) {
+    const auto take = std::min<std::size_t>(knn, near.size());
+    std::nth_element(near.begin(), near.begin() + take, near.end());
+    for (std::size_t k = 0; k < take; ++k) {
       const int j = static_cast<int>(near[k].second);
       edges.emplace_back(std::min(i, j), std::max(i, j));
     }
@@ -129,9 +127,9 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
           inv +
       margin;
 
-  // First-scan admission margin: the first (cold) pricing also admits
-  // pairs that are within ~1% of violating. Re-solve exit duals drift
-  // toward tightness near the structures they repair, so pairs that
+  // First-scan admission margin: the first pricing also admits pairs
+  // that are within ~1% of violating. Re-solve exit duals drift toward
+  // tightness near the structures they repair, so pairs that
   // barely survive the first scan are exactly the ones a later exact
   // scan flags, at the price of one more full solve round; admitting
   // them up front lets the second scan come back clean. Later scans use
@@ -144,11 +142,8 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
   std::vector<std::pair<int, int>> edges1;
   std::vector<std::int64_t> w2;
   std::vector<std::int64_t> lab2(n);
-  std::vector<std::int32_t> mate(n, 0);
   std::vector<std::vector<std::pair<std::int32_t, std::int64_t>>> chains(n);
-  bool warm = false;
-  int round = 0;
-  for (;; ++round) {
+  for (int round = 0;; ++round) {
     OBS_COUNT("blossom.rounds", 1);
     edges1.clear();
     w2.clear();
@@ -166,86 +161,14 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
                                                   arena);
     {
       OBS_SPAN("blossom.solve");
-      if (!warm) {
-        core.solve();
-      } else {
-        // Warm start from the previous round's duals and matching instead
-        // of re-deriving everything from lab = w_max. Four passes restore
-        // the solver's entry invariants (even labels, feasibility on the
-        // grown edge set, matched edges tight) while breaking as few
-        // matched pairs as possible:
-        //  1. Fold blossom duals into the labels: lab2_v += Z2(v) / 2,
-        //     Z2(v) = sum of z over v's nesting chain. solve_from starts
-        //     blossom-free, so the z mass must live in the labels. The
-        //     fold keeps every matched pair with IDENTICAL chains exactly
-        //     tight (their full constraint held with equality and both
-        //     sides gain the same amount) and preserves feasibility
-        //     everywhere: a pair's two chain sums each dominate the
-        //     common-prefix sum its constraint carries, so the average
-        //     does too. Before this fold, dropping z broke tightness of
-        //     nearly every intra-blossom matched edge, and the bump pass
-        //     below cascaded that into unmatching 50-90% of all vertices
-        //     — a "warm" start that was doing cold work.
-        //  2. Parity: the phases only terminate from an all-even entry
-        //     (see solve_from). A matched pair's label sum is even
-        //     (weights are even, as are the folded z's), so its labels
-        //     are odd together; shifting +1 / -1 across the pair evens
-        //     both WITHOUT breaking tightness. Free vertices round up.
-        //     The -1 can dent feasibility of a neighboring edge by one
-        //     unit; pass 3 repairs it.
-        //  3. Feasibility bump: newly added edges were by construction
-        //     violated, and pass 2 can leave unit deficits. Raising the
-        //     lower endpoint by the (even) deficit restores
-        //     lab_u + lab_v >= w for that edge and cannot break any
-        //     other (labels only ever increase).
-        //  4. Unmatch pairs whose edge is no longer tight: pairs whose
-        //     chains differed (their fold overshoots), pairs dented by
-        //     pass 3, and pairs adjacent to genuinely new structure.
-        // The re-solve then only repairs the damage near the new edges
-        // rather than rebuilding the whole matching.
-        for (std::size_t v = 0; v < n; ++v) {
-          std::int64_t zsum2 = 0;
-          for (const auto& [b, z2] : chains[v]) zsum2 += z2;
-          lab2[v] += zsum2 / 2;
-        }
-        for (std::size_t u = 0; u < n; ++u) {
-          if ((lab2[u] & 1) == 0) continue;
-          const std::int32_t m = mate[u];
-          const auto v = static_cast<std::size_t>(m) - 1;
-          if (m == 0 || v < u) {
-            lab2[u] += 1;  // free vertex, or pair already evened from v
-          } else {
-            lab2[u] += 1;
-            lab2[v] -= 1;
-          }
-        }
-        for (std::size_t k = 0; k < edges0.size(); ++k) {
-          const auto u = static_cast<std::size_t>(edges0[k].first);
-          const auto v = static_cast<std::size_t>(edges0[k].second);
-          const std::int64_t need = w2[k] - lab2[u] - lab2[v];
-          if (need > 0) lab2[u] += need;
-        }
-        for (std::size_t u = 0; u < n; ++u) {
-          const std::int32_t m = mate[u];
-          if (m == 0) continue;
-          const auto v = static_cast<std::size_t>(m) - 1;
-          if (v < u) continue;  // each pair once, from its lower endpoint
-          if (lab2[u] + lab2[v] != store.weight(static_cast<int>(u) + 1, m)) {
-            mate[u] = 0;
-            mate[v] = 0;
-          }
-        }
-        core.solve_from(lab2, mate);
-      }
+      core.solve();
     }
 
     for (std::size_t v = 0; v < n; ++v) {
       lab2[v] = core.dual2(static_cast<int>(v) + 1);
-      mate[v] = static_cast<std::int32_t>(core.partner(static_cast<int>(v) + 1));
       av[v] = static_cast<double>(lab2[v]) * inv;
     }
     core.export_blossom_chains(chains);
-    warm = true;
 
     std::size_t added = 0;
     const std::int64_t admit2 = round == 0 ? first_margin2 : 0;
@@ -267,15 +190,9 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
           const std::int64_t p2 =
               2 * qz.profit(geom::distance(pts[u], pts[v]),
                             static_cast<std::uint32_t>(u), v);
-          // Full dual test. A pair inside a surviving blossom carries
-          // every shared blossom's z on the left side of its
-          // complete-graph constraint; pricing on labels alone spuriously
-          // flags every close intra-blossom pair (z is large exactly
-          // because the blossom is tight), and after a warm re-solve
-          // those spurious admissions snowballed into an extra full
-          // round. The shared blossoms are the common prefix of the two
-          // nesting chains (outermost first), so the exact test sums z
-          // over that prefix.
+          // Full dual test: the shared blossoms are the common prefix of
+          // the two nesting chains (outermost first), so the left side
+          // sums z over that prefix.
           std::int64_t lhs2 = lab2[u] + lab2[v];
           const auto& cu = chains[u];
           const auto& cv = chains[v];
@@ -297,60 +214,21 @@ Matching sparse_blossom_euclidean_matching(const std::vector<geom::Point>& pts,
     }
     OBS_COUNT("blossom.edges_added", static_cast<std::int64_t>(added));
     if (added == 0) {
-      bool perfect = true;
-      for (std::size_t v = 0; v < n && perfect; ++v) {
-        perfect = core.partner(static_cast<int>(v) + 1) != 0;
+      // Clean pricing: labels plus the surviving blossom duals are
+      // feasible on the complete graph (the solver's blossoms are valid
+      // odd sets of the complete graph, and z_B > 0 only on blossoms its
+      // matching keeps full), and complementary slackness holds, so this
+      // perfect matching is the complete-graph optimum.
+      Matching result;
+      result.reserve(n / 2);
+      for (std::uint32_t v = 0; v < n; ++v) {
+        const int mate = core.partner(static_cast<int>(v) + 1);
+        const auto m = static_cast<std::uint32_t>(mate - 1);
+        if (v < m) result.emplace_back(v, m);
       }
-      if (perfect) {
-        // Clean pricing + clean solver termination: labels plus the
-        // surviving blossom duals are feasible on the complete graph
-        // (the solver's blossoms are valid odd sets of the complete
-        // graph, and z_B > 0 only on blossoms its matching keeps full),
-        // and complementary slackness holds, so this matching is the
-        // complete-graph optimum.
-        Matching result;
-        result.reserve(n / 2);
-        for (std::uint32_t v = 0; v < n; ++v) {
-          const int mate = core.partner(static_cast<int>(v) + 1);
-          const auto m = static_cast<std::uint32_t>(mate - 1);
-          if (v < m) result.emplace_back(v, m);
-        }
-        MCHARGE_ASSERT(is_perfect_matching(n, result),
-                       "sparse blossom produced a non-perfect matching");
-        return result;
-      }
-      // The candidate-graph MAX-WEIGHT matching can legitimately leave
-      // vertices free (two free vertices whose connecting paths all run
-      // through heavier edges than any augmentation gains), and at dual
-      // exhaustion complementary slackness fails, so clean pricing does
-      // not certify anything yet. Repair: complete the edge rows of the
-      // free vertices — on their (now locally complete) neighborhoods an
-      // uncovered pair is always directly augmentable, and the edge set
-      // strictly grows, so the loop terminates.
-      const std::size_t before = edges0.size();
-      {
-        OBS_SPAN("blossom.repair");
-        for (std::size_t u = 0; u < n; ++u) {
-          if (core.partner(static_cast<int>(u) + 1) != 0) continue;
-          for (std::size_t v = 0; v < n; ++v) {
-            if (v == u || store.weight(static_cast<int>(u) + 1,
-                                       static_cast<int>(v) + 1) != 0) {
-              continue;
-            }
-            edges0.emplace_back(static_cast<int>(std::min(u, v)),
-                                static_cast<int>(std::max(u, v)));
-          }
-        }
-        std::sort(edges0.begin(), edges0.end());
-        edges0.erase(std::unique(edges0.begin(), edges0.end()), edges0.end());
-      }
-      if (edges0.size() == before) {
-        // Free vertices already have complete rows — cannot repair
-        // further sparsely; the dense engine solves the identical
-        // objective, so the answer (and its bits) are unchanged.
-        return dense_blossom_euclidean_matching(pts);
-      }
-      continue;
+      MCHARGE_ASSERT(is_perfect_matching(n, result),
+                     "sparse blossom produced a non-perfect matching");
+      return result;
     }
     std::sort(edges0.begin(), edges0.end());
   }

@@ -7,23 +7,8 @@
 
 namespace mcharge::tsp {
 
-namespace {
+namespace detail {
 
-/// The two travel legs the split re-reads at tour position i: the depot
-/// leg of tour[i] and the leg from tour[i - 1] into tour[i] (0 at i == 0).
-/// split_min_max derives them once per split, so the budget probes below
-/// re-read each leg without recomputing a distance.
-struct Legs {
-  double depot;
-  double prev;
-};
-
-/// Greedily cuts `tour` into segments of delay <= budget, writing the
-/// tour index at which each segment starts into `starts` (a buffer the
-/// caller reuses across probes, so a probe allocates nothing once it has
-/// grown). Returns true iff every site fits the budget on its own and the
-/// cut uses at most `k` segments; stops at the first site that settles
-/// the answer as false.
 bool greedy_cut(const TourProblem& p, const Tour& tour,
                 const std::vector<Legs>& legs, double budget,
                 const SegmentEnergyCap& cap, std::size_t k,
@@ -78,6 +63,10 @@ bool greedy_cut(const TourProblem& p, const Tour& tour,
   return true;
 }
 
+}  // namespace detail
+
+namespace {
+
 double max_segment_delay(const TourProblem& p, const std::vector<Tour>& segs) {
   double worst = 0.0;
   for (const auto& s : segs) worst = std::max(worst, tour_delay(p, s));
@@ -97,7 +86,7 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
     return result;
   }
 
-  std::vector<Legs> legs(tour.size());
+  std::vector<detail::Legs> legs(tour.size());
   for (std::size_t i = 0; i < tour.size(); ++i) {
     legs[i].depot = problem.travel_depot(tour[i]);
     legs[i].prev = i == 0 ? 0.0 : problem.travel(tour[i - 1], tour[i]);
@@ -116,21 +105,21 @@ SplitResult split_min_max(const TourProblem& problem, const Tour& tour,
   SegmentEnergyCap use = cap;
   std::vector<std::size_t> best;   // segment starts of the winning cut
   std::vector<std::size_t> probe;  // scratch for the budget probes
-  bool feasible = greedy_cut(problem, tour, legs, hi, use, k, best);
+  bool feasible = detail::greedy_cut(problem, tour, legs, hi, use, k, best);
   if (use.enabled() && !feasible) {
     // The energy cap and the fleet size cannot both hold even at the
     // loosest delay budget: drop the cap (best effort — the executor's
     // budget machinery turns any residual overdraw into a recoverable,
     // cause-tagged abort) and redo the feasibility anchor.
     use = SegmentEnergyCap{};
-    feasible = greedy_cut(problem, tour, legs, hi, use, k, best);
+    feasible = detail::greedy_cut(problem, tour, legs, hi, use, k, best);
   }
   MCHARGE_ASSERT(feasible, "whole-tour budget must be feasible");
 
   // Binary search the smallest budget whose greedy cut uses <= k segments.
   for (int iter = 0; iter < 64 && hi - lo > 1e-9 * std::max(1.0, hi); ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (greedy_cut(problem, tour, legs, mid, use, k, probe)) {
+    if (detail::greedy_cut(problem, tour, legs, mid, use, k, probe)) {
       std::swap(best, probe);
       hi = mid;
     } else {

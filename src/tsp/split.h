@@ -68,4 +68,34 @@ struct MinMaxTourOptions {
 SplitResult min_max_k_tours(const TourProblem& problem, std::size_t k,
                             const MinMaxTourOptions& options = {});
 
+namespace detail {
+
+/// The two travel legs the split re-reads at tour position i: the depot
+/// leg of tour[i] and the leg from tour[i - 1] into tour[i] (0 at i == 0).
+/// split_min_max derives them once per split, so the budget probes
+/// re-read each leg without recomputing a distance.
+struct Legs {
+  double depot;
+  double prev;
+};
+
+/// One budget probe of split_min_max: greedily cuts `tour` into segments
+/// of delay <= budget, writing the tour index at which each segment
+/// starts into `starts` (a buffer the caller reuses across probes, so a
+/// probe allocates nothing once it has grown). Returns true iff every
+/// site fits the budget on its own and the cut uses at most `k`
+/// segments; stops at the first site that settles the answer as false.
+/// Its floating-point operation order is part of the contract (the plan
+/// digests depend on it): a segment extended by site i costs
+///   ((((front + internal) + prev_i) + service_i) + depot_i)
+/// with internal += (prev_i + service_i), and with a cap its joules are
+///   (((front + etravel) + prev_i) + depot_i) * travel_power_w
+///     + (eservice + service_i) * service_power_w.
+bool greedy_cut(const TourProblem& p, const Tour& tour,
+                const std::vector<Legs>& legs, double budget,
+                const SegmentEnergyCap& cap, std::size_t k,
+                std::vector<std::size_t>& starts);
+
+}  // namespace detail
+
 }  // namespace mcharge::tsp

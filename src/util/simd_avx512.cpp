@@ -313,29 +313,6 @@ inline __m512i load_i32x8(const std::int32_t* p, std::size_t i) {
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i)));
 }
 
-std::int64_t avx512_i64_min_where(const std::int64_t* lab,
-                                  const std::int32_t* state,
-                                  std::int32_t want, std::size_t lo,
-                                  std::size_t hi) {
-  std::int64_t best = kI64MaxLocal;
-  std::size_t i = lo;
-  if (i + 8 <= hi) {
-    const __m512i vwant = _mm512_set1_epi64(want);
-    __m512i acc = _mm512_set1_epi64(kI64MaxLocal);
-    for (; i + 8 <= hi; i += 8) {
-      const __mmask8 m = _mm512_cmpeq_epi64_mask(load_i32x8(state, i), vwant);
-      const __m512i val =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(lab + i));
-      acc = _mm512_mask_min_epi64(acc, m, acc, val);
-    }
-    best = _mm512_reduce_min_epi64(acc);
-  }
-  for (; i < hi; ++i) {
-    if (state[i] == want && lab[i] < best) best = lab[i];
-  }
-  return best;
-}
-
 void avx512_i64_dual_apply(std::int64_t* lab, const std::int32_t* state,
                            std::size_t lo, std::size_t hi, std::int64_t d) {
   const __m512i zero = _mm512_setzero_si512();
@@ -474,8 +451,8 @@ std::size_t avx512_price_scan(const double* xs, const double* ys,
 const KernelTable kAvx512Kernels = {
     avx512_distance_row,  avx512_argmin_distance_masked, avx512_two_opt_scan,
     avx512_or_opt_scan,   avx512_select_within, avx512_advance_select_below,
-    avx512_i64_min_where, avx512_i64_dual_apply, avx512_i64_slack_bound,
-    avx512_i64_slack_shift, avx512_price_scan,
+    avx512_i64_dual_apply, avx512_i64_slack_bound, avx512_i64_slack_shift,
+    avx512_price_scan,
 };
 
 }  // namespace mcharge::simd::detail

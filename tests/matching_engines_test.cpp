@@ -169,18 +169,19 @@ TEST(EnginesChristofides, RealOddVertexSetsAtPaperScales) {
 
 TEST(EnginesDispatch, EachSizeBandReturnsItsEngine) {
   // The last size of each band and the first of the next: the DP up to
-  // kExactLimit, the dense blossom below kSparseCrossover, sparse above.
-  static_assert(kExactLimit == 16 && kSparseCrossover == 128);
+  // kDpDispatchLimit, the dense blossom below kSparseCrossover, sparse
+  // above.
+  static_assert(kDpDispatchLimit == 10 && kSparseCrossover == 128);
   Rng rng(55);
   const auto field = [&rng](std::size_t n) {
     return geom::uniform_field(n, 100.0, 100.0, rng);
   };
-  const auto p16 = field(16), p18 = field(18);
+  const auto p10 = field(10), p12 = field(12);
   const auto p126 = field(126), p128 = field(128);
-  EXPECT_EQ(min_weight_euclidean_matching(p16),
-            exact_min_weight_matching(16, euclidean(p16)));
-  EXPECT_EQ(min_weight_euclidean_matching(p18),
-            dense_blossom_euclidean_matching(p18));
+  EXPECT_EQ(min_weight_euclidean_matching(p10),
+            exact_min_weight_matching(10, euclidean(p10)));
+  EXPECT_EQ(min_weight_euclidean_matching(p12),
+            dense_blossom_euclidean_matching(p12));
   EXPECT_EQ(min_weight_euclidean_matching(p126),
             dense_blossom_euclidean_matching(p126));
   EXPECT_EQ(min_weight_euclidean_matching(p128),
@@ -203,12 +204,11 @@ class EnginesWarmStart : public ::testing::TestWithParam<int> {};
 
 TEST_P(EnginesWarmStart, ManyPricingRoundsStayExact) {
   // Starved candidate graphs (knn = 1..2) force the maximum number of
-  // price-and-repair rounds, so every round past the first re-solves
-  // from warm duals and a warm matching. Each re-solve stresses the
-  // warm-start entry invariants (feasibility bump, parity rounding,
-  // tightness unmatch) on duals the solver itself exported — clustered
-  // layouts add near-ties and blossom-heavy duals on top. The dense
-  // engine is the oracle: identical matching, not merely equal weight.
+  // price-and-repair rounds. Every round re-solves the grown edge set
+  // from a cold jump start, so the certificate of the LAST round must
+  // hold over every edge the earlier rounds admitted; clustered layouts
+  // add near-ties and blossom-heavy duals on top. The dense engine is
+  // the oracle: identical matching, not merely equal weight.
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 9697 + 29);
   std::vector<geom::Point> pts;
   if (GetParam() % 2 == 0) {

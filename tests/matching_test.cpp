@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExactVsBrute, ::testing::Range(0, 12));
 
 TEST(Dispatch, UsesExactBelowLimit) {
   Rng rng(9);
-  const std::size_t n = kExactLimit;
+  const std::size_t n = kDpDispatchLimit;
   const auto pts = geom::uniform_field(n, 50.0, 50.0, rng);
   const auto w = euclidean(pts);
   const auto dispatched = min_weight_euclidean_matching(pts);

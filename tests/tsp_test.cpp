@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -615,6 +616,80 @@ TEST(Split, ProbeBufferMatchesFrozenVectorSplitBitwise) {
   }
   EXPECT_GT(capped_runs, 0u);
   EXPECT_GT(fallback_runs, 0u);
+}
+
+/// The cut of `frozen_greedy_cut` as segment start positions.
+std::vector<std::size_t> frozen_starts(const FrozenCut& cut) {
+  std::vector<std::size_t> starts;
+  std::size_t at = 0;
+  for (const Tour& segment : cut.segments) {
+    starts.push_back(at);
+    at += segment.size();
+  }
+  return starts;
+}
+
+TEST(Split, GreedyCutPinsOperationOrderAtBoundaryBudgets) {
+  // Probes at budgets exactly equal to the frozen-order cost of extending
+  // the first segment by site i, and one ulp below it, decide on the last
+  // bit of that sum. Any reassociation that rounds differently (counted
+  // below for two plausible ones) flips a decision and changes the cut.
+  constexpr double kInfBudget = std::numeric_limits<double>::infinity();
+  std::size_t swapped_differs = 0, regrouped_differs = 0;
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(9100 + seed);
+    const std::size_t m = 3 + rng.below(10);
+    const TourProblem p = random_problem(m, rng, 400.0);
+    Tour tour(m);
+    std::iota(tour.begin(), tour.end(), SiteId{0});
+    rng.shuffle(tour);
+    std::vector<detail::Legs> legs(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      legs[i].depot = p.travel_depot(tour[i]);
+      legs[i].prev = i == 0 ? 0.0 : p.travel(tour[i - 1], tour[i]);
+    }
+    SegmentEnergyCap cap;
+    cap.travel_power_w = 135.0;
+    cap.service_power_w = 2.0;
+    const double front = legs[0].depot;
+    double internal = p.service[tour[0]];
+    double regrouped_internal = internal;
+    double etravel = 0.0;
+    double eservice = internal;
+    std::vector<std::size_t> got;
+    for (std::size_t i = 1; i < m; ++i) {
+      const double prev = legs[i].prev;
+      const double service = p.service[tour[i]];
+      const double depot = legs[i].depot;
+      const double extended = front + internal + prev + service + depot;
+      const double joules =
+          (front + etravel + prev + depot) * cap.travel_power_w +
+          (eservice + service) * cap.service_power_w;
+      swapped_differs += extended != front + internal + prev + depot + service;
+      regrouped_differs +=
+          extended != front + regrouped_internal + prev + service + depot;
+      for (const double at : {extended, std::nextafter(extended, 0.0)}) {
+        const FrozenCut want = frozen_greedy_cut(p, tour, at, {});
+        const bool ok = detail::greedy_cut(p, tour, legs, at, {}, m, got);
+        ASSERT_EQ(want.ok, ok) << "seed=" << seed << " i=" << i;
+        if (ok) {
+          EXPECT_EQ(frozen_starts(want), got) << "seed=" << seed;
+        }
+      }
+      for (const double at : {joules, std::nextafter(joules, 0.0)}) {
+        cap.budget_j = at;
+        const FrozenCut want = frozen_greedy_cut(p, tour, kInfBudget, cap);
+        ASSERT_TRUE(detail::greedy_cut(p, tour, legs, kInfBudget, cap, m, got));
+        EXPECT_EQ(frozen_starts(want), got) << "seed=" << seed << " i=" << i;
+      }
+      internal += prev + service;
+      regrouped_internal = regrouped_internal + prev + service;
+      etravel += prev;
+      eservice += service;
+    }
+  }
+  EXPECT_GT(swapped_differs, 0u);
+  EXPECT_GT(regrouped_differs, 0u);
 }
 
 TEST(MinMaxKTours, EndToEndCoversAllSites) {
